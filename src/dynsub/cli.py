@@ -81,6 +81,11 @@ def _cmd_run(args) -> int:
         stream = Stream.load(stream_spec)
     else:
         stream = Stream.inserts(sorted(inner.ground))
+    unknown = stream.elements() - inner.ground
+    if unknown:
+        print(f"run: stream ids not in the oracle's ground set: "
+              f"{sorted(unknown)}", file=sys.stderr)
+        return USAGE_ERROR
     matroid = _load_matroid(pick("matroid", args.matroid, str),
                             stream.elements())
     if cfg.opt_mode == "known" and cfg.opt_value is None:

@@ -58,7 +58,13 @@ class RunConfig:
         if self.checkpoint == "at-end":
             return {n_ops} if n_ops else set()
         if self.checkpoint.startswith("every-n:"):
-            step = int(self.checkpoint.split(":", 1)[1])
+            try:
+                step = int(self.checkpoint.split(":", 1)[1])
+            except ValueError:
+                step = 0
+            if step < 1:
+                raise ValueError(f"bad checkpoint policy {self.checkpoint!r}: "
+                                 f"every-n:<n> needs an integer n >= 1")
             pts = set(range(step, n_ops + 1, step))
             pts.add(n_ops)
             return pts

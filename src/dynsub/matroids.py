@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 
 from dynsub.oracle import DomainError
@@ -13,7 +12,6 @@ class _BaseMatroid:
     def __init__(self, ground):
         self.ground = frozenset(int(e) for e in ground)
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def query_count(self) -> int:
@@ -23,8 +21,7 @@ class _BaseMatroid:
         S = frozenset(S)
         if not S <= self.ground:
             raise DomainError(f"unknown elements: {sorted(S - self.ground)}")
-        with self._lock:
-            self._count += 1
+        self._count += 1
         return self._independent(S)
 
     def _independent(self, S) -> bool:

@@ -20,29 +20,49 @@ BRUTE_FORCE_SUPPORT = 20
 
 
 class CoverageFunction:
-    """Weighted coverage: f(S) = total weight of union of covers(e), e in S."""
+    """Weighted coverage: f(S) = total weight of union of covers(e), e in S.
+
+    Each element's items are stored once more as universe positions, so
+    an evaluation costs what S covers, not |U|.  The function is fixed
+    after construction: `covers` and `universe` must not be mutated.
+    """
 
     def __init__(self, universe, covers):
         # universe: list of (item, weight); covers: element id -> iterable of items
         self.universe = [(item, float(w)) for item, w in universe]
-        self.weights = {item: w for item, w in self.universe}
+        self.weights = dict(self.universe)
         if len(self.weights) != len(self.universe):
             raise ValueError("duplicate universe items")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("negative item weight")
         self.covers = {int(e): frozenset(items) for e, items in covers.items()}
-        known = set(self.weights)
+        # universe position of each item; a failed lookup is an unknown item
+        position = dict(zip(self.weights, range(len(self.universe)))).__getitem__
+        self._positions = {}
         for e, items in self.covers.items():
-            if not items <= known:
-                raise ValueError(f"element {e} covers unknown items")
+            try:
+                self._positions[e] = tuple(map(position, items))
+            except KeyError:
+                raise ValueError(f"element {e} covers unknown items") from None
+        self._weight_at = list(self.weights.values())
+        self._coverers = None  # built by coverers() on first use
         self.ground = frozenset(self.covers)
 
     def __call__(self, S):
-        hit = set()
-        for e in S:
-            hit |= self.covers[e]
+        hit = set().union(*map(self._positions.__getitem__, S))
         # summed in universe order so equal sets give bit-identical values
-        return sum(w for item, w in self.universe if item in hit)
+        return sum(map(self._weight_at.__getitem__, sorted(hit)))
+
+    def coverers(self) -> list:
+        """Per universe position, the elements covering that item in
+        ascending id (built once, on the first call)."""
+        if self._coverers is None:
+            inv = [[] for _ in self.universe]
+            for e in sorted(self._positions):
+                for i in self._positions[e]:
+                    inv[i].append(e)
+            self._coverers = inv
+        return self._coverers
 
     def as_oracle(self) -> CountedOracle:
         return CountedOracle(self, self.ground)
@@ -170,12 +190,13 @@ def multilinear_exact(f, x) -> float:
     """
     _validate_point(x)
     if isinstance(f, CoverageFunction):
+        # items in universe order, factors in ascending element id: the
+        # float result depends on this order (see README, determinism)
         total = 0.0
-        for item, w in f.universe:
+        for (_, w), elements in zip(f.universe, f.coverers()):
             miss = 1.0
-            for e in sorted(f.covers):
-                if item in f.covers[e]:
-                    miss *= 1.0 - x.get(e, 0.0)
+            for e in elements:
+                miss *= 1.0 - x.get(e, 0.0)
             total += w * (1.0 - miss)
         return total
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import threading
 from dataclasses import dataclass, field
 
 
@@ -27,8 +26,8 @@ class CountedOracle:
     """Wraps a set function with a monotone query counter.
 
     The inner function is normalized so that eval(frozenset()) == 0
-    (one uncounted probe at construction).  The counter is guarded by a
-    lock so parallel readers can share one oracle.
+    (one uncounted probe at construction).  An oracle is not meant to be
+    shared across threads: the counter is a plain integer.
     """
 
     def __init__(self, inner, ground):
@@ -36,7 +35,6 @@ class CountedOracle:
         self.ground = frozenset(ground)
         self._offset = float(inner(frozenset()))
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
@@ -46,18 +44,12 @@ class CountedOracle:
         S = frozenset(S)
         if not S <= self.ground:
             raise DomainError(f"unknown elements: {sorted(S - self.ground)}")
-        with self._lock:
-            self._count += 1
+        self._count += 1
         return float(self._inner(S)) - self._offset
-
-    def eval_many(self, sets):
-        """Evaluate a batch; counts one query per set."""
-        return [self.eval(S) for S in sets]
 
     def add_count(self, n: int) -> None:
         """Account for n evaluations performed out-of-band (bulk kernels)."""
-        with self._lock:
-            self._count += n
+        self._count += n
 
 
 def marginal(oracle: CountedOracle, S, T, cached_base: float | None = None) -> float:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dynsub.cli import main
 from dynsub.harness import load_report_json
 
@@ -83,3 +85,24 @@ def test_run_matroid_half(tmp_path, capsys):
                  "--matroid", str(blocks), "--k", "2", "--epsilon", "0.33",
                  "--opt", "3.5", "--checkpoint", "at-end"]) == 0
     capsys.readouterr()
+
+
+def test_run_rejects_stream_ids_outside_oracle(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("stream v1\nI 3\nI 99\nI 1\nI 42\n")
+    assert main(["run", "--algo", "card-ladder", "--oracle", "random:20:30:1",
+                 "--opt-mode", "greedy-bound", "--k", "2",
+                 "--epsilon", "0.25", "--stream", str(stream)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[42, 99]" in err
+
+
+@pytest.mark.parametrize("policy", ["every-n:0", "every-n:-3", "every-n:x"])
+def test_run_rejects_bad_checkpoint(policy, capsys):
+    assert main(["run", "--algo", "card-ladder", "--oracle", "random:6:5:0",
+                 "--k", "2", "--epsilon", "0.25",
+                 "--checkpoint", policy]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert policy in err and "n >= 1" in err

@@ -131,6 +131,14 @@ def test_checkpoint_every_n():
     assert [r.t for r in records] == [4, 8, 9]
 
 
+@pytest.mark.parametrize("policy", ["every-n:0", "every-n:-3", "every-n:2.5",
+                                    "every-n:"])
+def test_checkpoint_every_n_rejects_bad_n(policy):
+    cfg = RunConfig(algo="card-ladder", k=2, epsilon=0.25, checkpoint=policy)
+    with pytest.raises(ValueError, match=f"{policy!r}.*n >= 1"):
+        cfg.checkpoint_rounds(9)
+
+
 def test_round_record_columns_frozen():
     assert RoundRecord.COLUMNS == ("t", "op", "ground", "value", "opt",
                                    "ratio", "q_round", "q_total")

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsub.objectives import (CoverageFunction, EstimatorBudget,
                                multilinear_estimate, multilinear_exact,
@@ -28,6 +32,77 @@ def test_coverage_file_round_trip(tmp_path):
     for _ in range(20):
         S = frozenset(rng.sample(sorted(f.ground), rng.randint(0, 6)))
         assert f(S) == g(S)
+
+
+def _reference_value(f, S):
+    """f(S) as a scan of the whole universe, in universe order."""
+    hit = set()
+    for e in S:
+        hit |= f.covers[e]
+    return sum(w for item, w in f.universe if item in hit)
+
+
+def _reference_multilinear(f, x):
+    """Closed-form F(x) scanning sorted(f.covers) for every item."""
+    total = 0.0
+    for item, w in f.universe:
+        miss = 1.0
+        for e in sorted(f.covers):
+            if item in f.covers[e]:
+                miss *= 1.0 - x.get(e, 0.0)
+        total += w * (1.0 - miss)
+    return total
+
+
+@st.composite
+def _coverage_cases(draw):
+    n_items = draw(st.integers(1, 8))
+    weights = draw(st.lists(
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=n_items, max_size=n_items))
+    items = [f"u{j}" for j in draw(st.permutations(range(n_items)))]
+    n_el = draw(st.integers(1, 12))
+    covers = {e: draw(st.sets(st.sampled_from(items), max_size=8))
+              for e in draw(st.permutations(range(n_el)))}
+    f = CoverageFunction(list(zip(items, weights)), covers)
+    ids = sorted(f.ground)
+    sets = draw(st.lists(st.sets(st.sampled_from(ids)), max_size=6))
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    points = draw(st.lists(st.dictionaries(st.sampled_from(ids), coord),
+                           max_size=6))
+    return f, [set()] + sets, [{}] + points
+
+
+def _same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coverage_cases())
+def test_indexed_coverage_bit_identical_to_universe_scan(case):
+    f, sets, points = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cov.txt")
+        f.dump(path)
+        g = CoverageFunction.load(path)
+    for h in (f, g):
+        for S in sets:
+            assert _same(h(frozenset(S)), _reference_value(f, S))
+        for x in points:
+            assert _same(multilinear_exact(h, x), _reference_multilinear(f, x))
+
+
+def test_multilinear_factor_order_is_ascending_id():
+    # this float product depends on the order of its factors
+    f = CoverageFunction([("b", 2.0), ("a", 1.0)],
+                         {2: {"a"}, 0: {"a", "b"}, 1: {"a"}})
+    x = {1: 0.18, 2: 0.1, 0: 0.12}
+    assert _same(multilinear_exact(f, x), _reference_multilinear(f, x))
+
+
+def test_unknown_cover_item_rejected():
+    with pytest.raises(ValueError, match="element 1 covers unknown items"):
+        CoverageFunction([("a", 1.0), ("b", 2.0)], {0: {"a"}, 1: {"b", "z"}})
 
 
 def test_multilinear_exact_examples():
