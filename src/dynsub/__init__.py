@@ -16,9 +16,7 @@ from dynsub.streams import Stream, StreamOp, INSERT, DELETE
 from dynsub.objectives import (
     CoverageFunction,
     ModularFunction,
-    EstimatorBudget,
     multilinear_exact,
-    multilinear_estimate,
     plus_direction,
 )
 from dynsub.matroids import (
@@ -41,9 +39,7 @@ __all__ = [
     "DELETE",
     "CoverageFunction",
     "ModularFunction",
-    "EstimatorBudget",
     "multilinear_exact",
-    "multilinear_estimate",
     "plus_direction",
     "UniformMatroid",
     "PartitionMatroid",

@@ -10,14 +10,17 @@ import json
 import random
 import sys
 
-from dynsub.harness import RunConfig, emit_report, parse_config, run_stream
+from dynsub.harness import (RunConfig, UnsupportedOpError, emit_report,
+                            parse_config, run_stream)
 from dynsub.hard_bipartite import (BipartiteInstance, bipartite_eval,
                                    bipartite_eval_bruteforce, bipartite_stream)
-from dynsub.hard_tree import (ShuffledTreeInstance, tree_F_eval,
-                              traverse_stream, traverse_leaves,
+from dynsub.hard_tree import (ShuffledTreeInstance, random_tree_pi,
+                              tree_F_eval, traverse_stream, traverse_leaves,
                               weight_sequence)
+from dynsub.matroid_dynamic import InvariantError
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import CoverageFunction, random_coverage
+from dynsub.oracle import EnumerationBudgetError
 from dynsub.streams import Stream
 
 USAGE_ERROR = 1
@@ -132,19 +135,6 @@ def _tree_descriptor(inst: ShuffledTreeInstance, seed: int, d: int) -> dict:
     }
 
 
-def _random_tree_pi(arities, seed: int) -> dict:
-    rng = random.Random(seed)
-    pi: dict = {}
-    frontier = [()]
-    for depth, m in enumerate(arities):
-        for u in frontier:
-            perm = list(range(1, m + 1))
-            rng.shuffle(perm)
-            pi[u] = {i + 1: perm[i] for i in range(m)}
-        frontier = [u + (i,) for u in frontier for i in range(1, m + 1)]
-    return pi
-
-
 def _cmd_gen_stream(args) -> int:
     if args.family == "bipartite":
         inst = BipartiteInstance(m=args.m, k=args.k, w=args.w, eps=args.eps,
@@ -154,7 +144,7 @@ def _cmd_gen_stream(args) -> int:
         desc = _bipartite_descriptor(inst, args.seed)
     elif args.family == "tree":
         arities = tuple(int(s) for s in args.arities.split(","))
-        pi = _random_tree_pi(arities, args.seed)
+        pi = random_tree_pi(arities, args.seed)
         inst = ShuffledTreeInstance(k=args.k, eps=args.eps, arities=arities,
                                     pi=pi)
         stream = traverse_stream(inst, args.d)
@@ -252,6 +242,9 @@ def _cmd_verify_hard(args) -> int:
             _verify_bipartite(inst)
         else:
             _verify_tree(inst, desc.get("d", 1))
+    except KeyError as exc:
+        print(f"verify-hard: descriptor has no key {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
@@ -343,7 +336,11 @@ def main(argv=None) -> int:
             return _cmd_bench(args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
+    except (ValueError, OSError, EnumerationBudgetError,
+            UnsupportedOpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     parser.print_usage(sys.stderr)

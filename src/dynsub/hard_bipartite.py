@@ -278,4 +278,4 @@ def bipartite_stream(inst: BipartiteInstance) -> Stream:
         blk = inst.b_block(i)
         ops.extend(StreamOp(INSERT, e) for e in blk)
         ops.extend(StreamOp(DELETE, e) for e in blk)
-    return Stream(ops, ground_hint=inst.n)
+    return Stream(ops)

@@ -55,6 +55,20 @@ def weight_sequence(L: int) -> dict:
     return {"delta": delta, "a": a, "A_geq": A_geq, "w": w, "p": p}
 
 
+def random_tree_pi(arities, seed: int) -> dict:
+    """Seeded uniformly random child bijections, one per internal node."""
+    rng = random.Random(seed)
+    pi: dict = {}
+    frontier = [()]
+    for m in arities:
+        for u in frontier:
+            perm = list(range(1, m + 1))
+            rng.shuffle(perm)
+            pi[u] = {i + 1: perm[i] for i in range(m)}
+        frontier = [u + (i,) for u in frontier for i in range(1, m + 1)]
+    return pi
+
+
 class ShuffledTreeInstance:
     """Tree of arities (m_1, ..., m_L), m_L = 1, with w = eps*k elements
     per non-root node and sparse per-parent child bijections pi."""
@@ -256,7 +270,7 @@ def traverse_stream(inst: ShuffledTreeInstance, d: int,
 
     visit(())
     assert len(ops) == total
-    return Stream(ops, ground_hint=inst.n)
+    return Stream(ops)
 
 
 def traverse_leaves(inst: ShuffledTreeInstance, d: int) -> list:

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 from dynsub.cardinality import CardinalityState, GuessLadder
-from dynsub.matroid_dynamic import (BranchParams, PruneGreedyState,
-                                    enumerate_branches, reference_lpass,
-                                    run_prune_greedy)
+from dynsub.matroid_dynamic import BranchParams, MatroidHalf
+# unused here, but perfbench/tracer.py wraps these names on this module
+from dynsub.matroid_dynamic import reference_lpass, run_prune_greedy  # noqa: F401
 from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
 from dynsub.streams import INSERT, Stream
 
@@ -47,10 +47,8 @@ class RunConfig:
     brute_budget: int = 10 ** 6
     checkpoint: str = "every-round"  # every-round | every-n:<n> | at-end
     mode: str = "guided"  # matroid-half: guided | exhaustive
-    m_stages: int = 4
     window: int | None = None
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     def checkpoint_rounds(self, n_ops: int):
         if self.checkpoint == "every-round":
@@ -71,9 +69,7 @@ class RunConfig:
         raise ValueError(f"bad checkpoint policy {self.checkpoint!r}")
 
     def as_flat(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k != "extras"}
-        d.update(self.extras)
-        return d
+        return asdict(self)
 
 
 def parse_config(path) -> dict:
@@ -142,88 +138,31 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid):
     return g / (1.0 - 1.0 / math.e), True
 
 
-class _CardAdapter:
-    insertion_only = True
-
-    def __init__(self, cfg: RunConfig, oracle: CountedOracle):
-        if cfg.opt_value is None:
-            raise ValueError("algo card needs a fixed opt_value")
-        self.state = CardinalityState(oracle, cfg.k, cfg.epsilon, cfg.opt_value)
-
-    def insert(self, e):
-        self.state.insert(e)
-
-    def solution(self):
-        return self.state.solution()
+def _card(cfg: RunConfig, oracle: CountedOracle, matroid):
+    if cfg.opt_value is None:
+        raise ValueError("algo card needs a fixed opt_value")
+    return CardinalityState(oracle, cfg.k, cfg.epsilon, cfg.opt_value)
 
 
-class _LadderAdapter:
-    insertion_only = True
-
-    def __init__(self, cfg: RunConfig, oracle: CountedOracle):
-        self.ladder = GuessLadder(oracle, cfg.k, cfg.epsilon,
-                                  window_length=cfg.window)
-
-    def insert(self, e):
-        self.ladder.insert(e)
-
-    def solution(self):
-        return self.ladder.solution()
+def _card_ladder(cfg: RunConfig, oracle: CountedOracle, matroid):
+    return GuessLadder(oracle, cfg.k, cfg.epsilon, window_length=cfg.window)
 
 
-class _MatroidHalfAdapter:
-    insertion_only = True
-
-    def __init__(self, cfg: RunConfig, oracle: CountedOracle, matroid):
-        if matroid is None:
-            raise ValueError("algo matroid-half needs a matroid")
-        if cfg.opt_value is None:
-            raise ValueError("algo matroid-half needs a fixed opt_value")
-        L = cfg.extras.get("branch_L")
-        R = cfg.extras.get("branch_R")
-        if L is not None:
-            self.params = BranchParams.override(int(L), int(R), cfg.epsilon,
-                                                cfg.opt_value)
-        else:
-            self.params = BranchParams.standard(cfg.k, cfg.epsilon,
-                                                cfg.opt_value)
-        self.oracle = oracle
-        self.M = matroid
-        self.mode = cfg.mode
-        self.history: list[int] = []
-        if self.mode == "exhaustive":
-            self.states = [PruneGreedyState(oracle, matroid, self.params, a)
-                           for a in enumerate_branches(self.params.L,
-                                                       self.params.R)]
-        elif self.mode != "guided":
-            raise ValueError(f"bad mode {self.mode!r}")
-
-    def insert(self, e):
-        self.history.append(e)
-        if self.mode == "exhaustive":
-            for st in self.states:
-                st.insert(e)
-
-    def solution(self):
-        if self.mode == "guided":
-            ref = reference_lpass(self.history, self.params.opt, self.oracle,
-                                  self.M, self.params)
-            st = run_prune_greedy(self.history, self.oracle, self.M,
-                                  self.params, ref.a_star)
-            return st.solution()
-        best_S, best_v = frozenset(), 0.0
-        for st in self.states:
-            S = st.solution()
-            v = self.oracle.eval(S)
-            if v > best_v + 1e-15:
-                best_S, best_v = S, v
-        return best_S
+def _matroid_half(cfg: RunConfig, oracle: CountedOracle, matroid):
+    if matroid is None:
+        raise ValueError("algo matroid-half needs a matroid")
+    if cfg.opt_value is None:
+        raise ValueError("algo matroid-half needs a fixed opt_value")
+    params = BranchParams.standard(cfg.k, cfg.epsilon, cfg.opt_value)
+    return MatroidHalf(oracle, matroid, params, mode=cfg.mode)
 
 
-_ADAPTERS = {
-    "card": lambda cfg, oracle, matroid: _CardAdapter(cfg, oracle),
-    "card-ladder": lambda cfg, oracle, matroid: _LadderAdapter(cfg, oracle),
-    "matroid-half": _MatroidHalfAdapter,
+# name -> builder(cfg, algorithm oracle, matroid); every algorithm
+# here is insertion-only and has insert(e) and solution()
+_ALGORITHMS = {
+    "card": _card,
+    "card-ladder": _card_ladder,
+    "matroid-half": _matroid_half,
 }
 
 
@@ -237,9 +176,9 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     ground_all = stream.elements()
     algo_oracle = CountedOracle(inner, ground_all)
     probe_oracle = CountedOracle(inner, ground_all)
-    if cfg.algo not in _ADAPTERS:
+    if cfg.algo not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {cfg.algo!r}")
-    adapter = _ADAPTERS[cfg.algo](cfg, algo_oracle, matroid)
+    algo = _ALGORITHMS[cfg.algo](cfg, algo_oracle, matroid)
     checkpoints = cfg.checkpoint_rounds(len(stream))
     records: list[RoundRecord] = []
     live: set = set()
@@ -247,15 +186,13 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     any_bound = False
     for t, op in enumerate(stream, start=1):
         if op.kind != INSERT:
-            if adapter.insertion_only:
-                raise UnsupportedOpError(
-                    f"algorithm {cfg.algo} is insertion-only; op {t} deletes")
-            raise UnsupportedOpError("no deletion-capable algorithms registered")
+            raise UnsupportedOpError(
+                f"algorithm {cfg.algo} is insertion-only; op {t} deletes")
         live.add(op.element)
-        adapter.insert(op.element)
+        algo.insert(op.element)
         if t not in checkpoints:
             continue
-        S = adapter.solution()
+        S = algo.solution()
         q_total = algo_oracle.count
         value = probe_oracle.eval(S)
         opt, is_bound = _opt_estimate(cfg, probe_oracle, live, matroid)
@@ -265,7 +202,7 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
             t=t, op=op.kind, ground=len(live), value=value, opt=opt,
             ratio=ratio, q_round=q_total - q_prev, q_total=q_total))
         q_prev = q_total
-    meta = dict(cfg.as_flat())
+    meta = cfg.as_flat()
     meta["opt_is_bound"] = any_bound
     return records, meta
 

@@ -19,7 +19,6 @@ than a tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,15 +29,6 @@ from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
 
 class InvariantError(RuntimeError):
     pass
-
-
-class KCloseOracle(CountedOracle):
-    """A counted oracle whose values are within kappa of some target
-    function; with an exact inner function kappa is trivially 0."""
-
-    def __init__(self, inner, ground, kappa: float = 0.0):
-        super().__init__(inner, ground)
-        self.kappa = float(kappa)
 
 
 @dataclass(frozen=True)
@@ -270,51 +260,53 @@ def run_prune_greedy(prefix, h: CountedOracle, M, params: BranchParams,
     return state
 
 
-def combinatorial_half(elements, M, oracle: CountedOracle,
-                       params: BranchParams, mode: str = "guided",
-                       branch_budget: int = 10 ** 5):
-    """Per-round best feasible set over an insertion-only stream.
+class MatroidHalf:
+    """The (1/2 - eps) runner over an insertion-only stream, resumable
+    per insert.
 
-    Guided mode re-derives the certified branch tuple per prefix via the
-    reference greedy; exhaustive mode maintains one pruned-greedy state
-    per branch tuple and reports the best by value.
-    Returns a list of (round, solution set, value).
+    Guided mode replays the history through the pruned greedy at the
+    branch tuple the reference L-pass certifies for it; exhaustive mode
+    keeps one pruned-greedy state per branch tuple and reports the best
+    by value.
     """
-    elements = list(elements)
-    out = []
-    if mode == "guided":
-        for t in range(1, len(elements) + 1):
-            prefix = elements[:t]
-            ref = reference_lpass(prefix, params.opt, oracle, M, params)
-            state = run_prune_greedy(prefix, oracle, M, params, ref.a_star)
-            S = state.solution()
-            out.append((t, S, oracle.eval(S)))
-        return out
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    states = [PruneGreedyState(oracle, M, params, a)
-              for a in enumerate_branches(params.L, params.R, budget=branch_budget)]
-    for t, e in enumerate(elements, start=1):
-        for st in states:
+
+    def __init__(self, oracle: CountedOracle, M, params: BranchParams,
+                 mode: str = "guided"):
+        if mode not in ("guided", "exhaustive"):
+            raise ValueError(f"bad mode {mode!r}")
+        self.oracle = oracle
+        self.M = M
+        self.params = params
+        self.mode = mode
+        self.history: list[int] = []
+        self.states = ([PruneGreedyState(oracle, M, params, a)
+                        for a in enumerate_branches(params.L, params.R)]
+                       if mode == "exhaustive" else [])
+
+    def insert(self, e) -> None:
+        self.history.append(e)
+        for st in self.states:
             st.insert(e)
+
+    def solution(self) -> frozenset:
+        if self.mode == "guided":
+            ref = reference_lpass(self.history, self.params.opt, self.oracle,
+                                  self.M, self.params)
+            return run_prune_greedy(self.history, self.oracle, self.M,
+                                    self.params, ref.a_star).solution()
         best_S, best_v = frozenset(), 0.0
-        for st in states:
+        for st in self.states:
             S = st.solution()
-            v = oracle.eval(S)
+            v = self.oracle.eval(S)
             if v > best_v + 1e-15:
                 best_S, best_v = S, v
-        out.append((t, best_S, best_v))
-    return out
+        return best_S
 
 
 @dataclass
 class AmplifierConfig:
     m: int  # number of stages
     epsilon: float
-    mode: str = "guided"
-    opt: float | None = None  # brute-forced when absent
-    branch_L: int | None = None  # override the standard L/R when set
-    branch_R: int | None = None
 
     def guess_depth(self) -> int:
         return math.ceil(4.0 * math.log(1.0 / self.epsilon) / self.epsilon)
@@ -335,21 +327,16 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
 
     Each stage tau maximizes g(S) = F(x + S/m) - F(x) with the pruned
     greedy at a geometric guess of the residual optimum, then commits
-    S_tau/m into x.  Exact multilinear evaluation requires f to be a
-    CoverageFunction.  Guided mode brute-forces the offline optimum to
-    pick each stage guess, certifying the existential branch rather than
-    enumerating the full guess grid.
+    S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact).
+    The offline optimum is brute-forced to pick each stage guess, and
+    each stage runs the pruned greedy at the branch tuple the reference
+    L-pass certifies, rather than enumerating the guess grid and the
+    branch tuples.
     """
-    if cfg.mode != "guided":
-        raise ValueError("only guided mode is implemented for amplification")
     elements = list(elements)
     ground = frozenset(elements)
-    f_oracle = CountedOracle(f, ground)
-    if cfg.opt is not None:
-        opt = cfg.opt
-        opt_set, _ = brute_force_opt(f_oracle, ground=ground, matroid=M)
-    else:
-        opt_set, opt = brute_force_opt(f_oracle, ground=ground, matroid=M)
+    opt_set, opt = brute_force_opt(CountedOracle(f, ground), ground=ground,
+                                   matroid=M)
     if opt <= 0:
         return AmplifiedResult(x={}, stage_sets=[], stage_guesses=[],
                                rounded=frozenset(), value=0.0)
@@ -364,7 +351,7 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
         def g_inner(S, _x=dict(x), _base=base_F):
             return multilinear_exact(f, plus_direction(_x, S, 1.0 / m)) - _base
 
-        g = KCloseOracle(g_inner, ground, kappa=0.0)
+        g = CountedOracle(g_inner, ground)
         v = g.eval(opt_set)
         d_tau = 0.0
         for j in range(depth + 1):
@@ -376,11 +363,7 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
         if d_tau <= 0.0:
             stage_sets.append(frozenset())
             continue
-        if cfg.branch_L is not None:
-            params = BranchParams.override(cfg.branch_L, cfg.branch_R,
-                                           cfg.epsilon, d_tau)
-        else:
-            params = BranchParams.standard(k, cfg.epsilon, d_tau)
+        params = BranchParams.standard(k, cfg.epsilon, d_tau)
         ref = reference_lpass(elements, d_tau, g, M, params)
         state = run_prune_greedy(elements, g, M, params, ref.a_star)
         S_tau = state.solution()

@@ -167,13 +167,10 @@ def _swap_pair(M, S1, l1, S2, l2, rng):
     return frozenset(S1)
 
 
-def swap_round(M, combo: ConvexCombo, seed: int, f=None) -> frozenset:
+def swap_round(M, combo: ConvexCombo, seed: int) -> frozenset:
     """Round a convex combination of independent sets to one independent
-    set by pairwise merges, smallest weights first.
-
-    The objective handle f is accepted for interface symmetry with the
-    callers but the merge itself never evaluates it.
-    """
+    set by pairwise merges, smallest weights first.  The merge never
+    evaluates the objective."""
     for _, S in combo.parts:
         if not M.is_independent(S):
             raise ValueError(f"part {sorted(S)} is not independent")

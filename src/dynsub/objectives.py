@@ -7,13 +7,8 @@ omitted coordinates are 0.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass
 
-import numpy as np
-
-from dynsub import _kernels
 from dynsub.oracle import CountedOracle, EnumerationBudgetError
 
 BRUTE_FORCE_SUPPORT = 20
@@ -138,34 +133,6 @@ def random_coverage(n_elements: int, n_items: int, seed: int,
     return CoverageFunction(universe, covers)
 
 
-@dataclass
-class EstimatorBudget:
-    kappa: float | None = None
-    delta: float | None = None
-    samples: int | None = None
-
-    def __post_init__(self):
-        if self.samples is not None:
-            if self.samples < 1:
-                raise ValueError("samples must be >= 1")
-            return
-        if self.kappa is None or self.delta is None:
-            raise ValueError("give (kappa, delta) or an explicit sample count")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-
-    def n_samples(self, value_range: float) -> int:
-        if self.samples is not None:
-            return self.samples
-        if value_range <= 0:
-            return 1
-        # Hoeffding: n >= range^2/(2 kappa^2) * ln(2/delta)
-        return max(1, math.ceil(
-            value_range ** 2 / (2.0 * self.kappa ** 2) * math.log(2.0 / self.delta)))
-
-
 def _validate_point(x):
     for e, p in x.items():
         if not 0.0 <= p <= 1.0:
@@ -216,51 +183,3 @@ def multilinear_exact(f, x) -> float:
                 total += prob * evaluate(frozenset(tup))
     return total
 
-
-def multilinear_estimate(oracle: CountedOracle, x, budget: EstimatorBudget,
-                         seed: int) -> float:
-    """Mean of f over n_s independent samples S ~ x.
-
-    Consumes exactly n_s counted queries (plus one for the value range
-    when the budget is (kappa, delta)-specified).  Deterministic given
-    seed; the coverage fast path runs through the batch kernel and
-    charges the oracle in bulk.
-    """
-    _validate_point(x)
-    if budget.samples is not None:
-        n_s = budget.samples
-    else:
-        value_range = oracle.eval(oracle.ground)
-        n_s = budget.n_samples(value_range)
-
-    support = sorted(e for e, p in x.items() if p > 0.0)
-    # degenerate distribution: every sample is the same set
-    if all(x[e] >= 1.0 for e in support):
-        v = oracle.eval(frozenset(support))
-        oracle.add_count(n_s - 1)
-        return v
-
-    probs = np.array([x[e] for e in support], dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    draws = rng.random((n_s, len(support)))
-    samples = (draws < probs[None, :]).astype(np.uint8)
-
-    inner = oracle._inner
-    if isinstance(inner, CoverageFunction):
-        items = [item for item, _ in inner.universe]
-        weights = np.array([w for _, w in inner.universe], dtype=np.float64)
-        cover = np.zeros((len(items), len(support)), dtype=np.uint8)
-        for j, e in enumerate(support):
-            cov = inner.covers[e]
-            for i, item in enumerate(items):
-                if item in cov:
-                    cover[i, j] = 1
-        values = _kernels.coverage_batch_eval(weights, cover, samples)
-        oracle.add_count(n_s)
-        return math.fsum(values.tolist()) / n_s
-
-    values = []
-    for row in samples:
-        S = frozenset(e for e, bit in zip(support, row) if bit)
-        values.append(oracle.eval(S))
-    return math.fsum(values) / n_s

@@ -47,10 +47,6 @@ class CountedOracle:
         self._count += 1
         return float(self._inner(S)) - self._offset
 
-    def add_count(self, n: int) -> None:
-        """Account for n evaluations performed out-of-band (bulk kernels)."""
-        self._count += n
-
 
 def marginal(oracle: CountedOracle, S, T, cached_base: float | None = None) -> float:
     """Marginal gain of T on top of S: eval(S | T) - eval(S).

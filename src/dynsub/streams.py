@@ -27,7 +27,7 @@ class Stream:
     after deletion within one stream.
     """
 
-    def __init__(self, ops, ground_hint: int | None = None):
+    def __init__(self, ops):
         ops = list(ops)
         live: set[int] = set()
         dead: set[int] = set()
@@ -44,7 +44,6 @@ class Stream:
                 live.remove(op.element)
                 dead.add(op.element)
         self.ops = ops
-        self.ground_hint = ground_hint
 
     def __len__(self):
         return len(self.ops)

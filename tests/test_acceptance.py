@@ -11,15 +11,14 @@ import time
 import numpy as np
 
 from dynsub.cardinality import CardinalityState, GuessLadder
-from dynsub.cli import _random_tree_pi
 from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams,
                                    analytic_Q, bipartite_eval,
                                    bipartite_eval_bruteforce, symmetric_eval)
-from dynsub.hard_tree import (ShuffledTreeInstance, traverse_leaves,
-                              traverse_stream, tree_F_eval, tree_G_exact,
-                              tree_sample, weight_sequence)
+from dynsub.hard_tree import (ShuffledTreeInstance, random_tree_pi,
+                              traverse_leaves, traverse_stream, tree_F_eval,
+                              tree_G_exact, tree_sample, weight_sequence)
 from dynsub.matroid_dynamic import (AmplifierConfig, BranchParams,
-                                    amplified_run, combinatorial_half,
+                                    MatroidHalf, amplified_run,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import ConvexCombo, PartitionMatroid, swap_round
 from dynsub.objectives import random_coverage
@@ -154,6 +153,16 @@ def test_criterion_4_exact_parity():
             f"{checked} instances replayed, {mismatches} mismatches")
 
 
+def half_values(order, M, oracle, params, mode):
+    """f of the matroid-half solution after each insert."""
+    half = MatroidHalf(oracle, M, params, mode=mode)
+    values = []
+    for e in order:
+        half.insert(e)
+        values.append(oracle.eval(half.solution()))
+    return values
+
+
 def test_criterion_5_half_guarantee():
     eps = 0.33
     worst = math.inf
@@ -165,14 +174,13 @@ def test_criterion_5_half_guarantee():
         if opt <= 0:
             continue
         params = BranchParams.standard(4, eps, opt)
-        guided = combinatorial_half(order, M, oracle, params, mode="guided")
-        worst = min(worst, guided[-1][2] / opt)
+        guided = half_values(order, M, oracle, params, "guided")
+        worst = min(worst, guided[-1] / opt)
         if seed < 10:
             small = BranchParams.override(2, 3, eps, opt)
-            g = combinatorial_half(order, M, oracle, small, mode="guided")
-            x = combinatorial_half(order, M, oracle, small, mode="exhaustive")
-            dominated &= all(ve >= vg - 1e-12
-                             for (_, _, vg), (_, _, ve) in zip(g, x))
+            g = half_values(order, M, oracle, small, "guided")
+            x = half_values(order, M, oracle, small, "exhaustive")
+            dominated &= all(ve >= vg - 1e-12 for vg, ve in zip(g, x))
     bound = 0.5 - 12 * eps  # negative at this eps, stated for the record
     _report(5, worst >= bound - 1e-9 and dominated,
             f"worst guided ratio {worst:.4f} >= {bound:.4f}, exhaustive "
@@ -310,7 +318,7 @@ def test_criterion_9_tree_construction():
                (1 / 3, 6, (4, 3, 1)), (1 / 3, 9, (3, 2, 1))]
     for eps, k, arities in presets:
         for seed in range(3):
-            pi = _random_tree_pi(arities, seed)
+            pi = random_tree_pi(arities, seed)
             t = ShuffledTreeInstance(k=k, eps=eps, arities=arities, pi=pi)
             for leaf in t.leaves:
                 S = [e for v in t.shuffled_path_sets(leaf)

@@ -106,3 +106,41 @@ def test_run_rejects_bad_checkpoint(policy, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert policy in err and "n >= 1" in err
+
+
+MATROID_HALF = ["run", "--algo", "matroid-half", "--oracle", "random:8:10:1",
+                "--matroid", "uniform:3", "--k", "3", "--epsilon", "0.33"]
+
+
+@pytest.mark.parametrize("extra, code, needle", [
+    (["--opt", "5", "--mode", "exhaustive"], 1, "73629072 branch tuples"),
+    (["--opt", "0.01"], 2, "opt is likely mis-scaled"),
+])
+def test_run_matroid_half_typed_errors(extra, code, needle, capsys):
+    assert main(MATROID_HALF + extra) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert needle in err
+
+
+def test_run_rejects_stream_with_deletes(tmp_path, capsys):
+    out = str(tmp_path / "bip.stream")
+    assert main(["gen-stream", "--family", "bipartite", "--m", "2",
+                 "--k", "4", "--w", "2", "--eps", "0.5", "--out", out]) == 0
+    n = len(json.loads(open(out + ".json").read())["slots"])
+    capsys.readouterr()
+    assert main(["run", "--algo", "card-ladder", "--oracle",
+                 f"random:{n}:10:0", "--opt-mode", "greedy-bound",
+                 "--k", "2", "--epsilon", "0.25", "--stream", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "insertion-only" in err
+
+
+def test_verify_descriptor_missing_keys(tmp_path, capsys):
+    desc = tmp_path / "bip.json"
+    desc.write_text('{"family": "bipartite"}')
+    assert main(["verify-hard", "--instance", str(desc)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'m'" in err

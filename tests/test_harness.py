@@ -142,3 +142,25 @@ def test_checkpoint_every_n_rejects_bad_n(policy):
 def test_round_record_columns_frozen():
     assert RoundRecord.COLUMNS == ("t", "op", "ground", "value", "opt",
                                    "ratio", "q_round", "q_total")
+
+
+def test_matroid_half_exhaustive_dominates_guided():
+    from dynsub.matroids import UniformMatroid
+    from dynsub.oracle import brute_force_opt
+    f = random_coverage(8, 8, seed=8)
+    M = UniformMatroid(2, f.ground)
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    stream = Stream.inserts(sorted(f.ground))
+    values = {}
+    for mode in ("guided", "exhaustive"):  # k=2, eps=0.5: 455 branch tuples
+        cfg = RunConfig(algo="matroid-half", k=2, epsilon=0.5,
+                        opt_mode="known", opt_value=opt, mode=mode)
+        records, _ = run_stream(cfg, f, stream, matroid=M)
+        values[mode] = [r.value for r in records]
+    assert len(values["guided"]) == len(stream)
+    assert all(ve >= vg - 1e-12
+               for vg, ve in zip(values["guided"], values["exhaustive"]))
+    cfg = RunConfig(algo="matroid-half", k=2, epsilon=0.5, opt_value=opt,
+                    mode="fast")
+    with pytest.raises(ValueError, match="bad mode 'fast'"):
+        run_stream(cfg, f, stream, matroid=M)

@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import tempfile
@@ -7,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsub.objectives import (CoverageFunction, EstimatorBudget,
-                               multilinear_estimate, multilinear_exact,
+from dynsub.objectives import (CoverageFunction, multilinear_exact,
                                plus_direction, random_coverage)
 from dynsub.oracle import EnumerationBudgetError
 
@@ -154,61 +152,3 @@ def test_plus_direction():
     assert plus_direction(x, set(), 0.5) == x
     with pytest.raises(ValueError):
         plus_direction(x, {1}, 0.0)
-
-
-def test_estimator_budget_validation():
-    with pytest.raises(ValueError):
-        EstimatorBudget()
-    with pytest.raises(ValueError):
-        EstimatorBudget(kappa=-1, delta=0.5)
-    with pytest.raises(ValueError):
-        EstimatorBudget(kappa=0.1, delta=2.0)
-    b = EstimatorBudget(kappa=0.5, delta=0.1)
-    assert b.n_samples(2.0) >= math.ceil(4 / (2 * 0.25) * math.log(20))
-
-
-def test_estimator_degenerate_and_zero():
-    f = random_coverage(6, 8, seed=5)
-    o = f.as_oracle()
-    v = multilinear_estimate(o, {0: 1.0, 3: 1.0},
-                             EstimatorBudget(samples=100), seed=0)
-    assert v == f({0, 3})
-    assert o.count == 100
-    o2 = f.as_oracle()
-    assert multilinear_estimate(o2, {}, EstimatorBudget(samples=50), seed=0) == 0.0
-
-
-def test_estimator_deterministic_and_counts():
-    f = random_coverage(6, 8, seed=6)
-    x = {e: 0.4 for e in range(5)}
-    o1, o2 = f.as_oracle(), f.as_oracle()
-    b = EstimatorBudget(samples=777)
-    v1 = multilinear_estimate(o1, x, b, seed=42)
-    v2 = multilinear_estimate(o2, x, b, seed=42)
-    assert v1 == v2
-    assert o1.count == 777
-
-
-def test_estimator_concentration():
-    f = random_coverage(5, 6, seed=7)
-    x = {e: 0.5 for e in range(5)}
-    exact = multilinear_exact(f, x)
-    kappa, delta = 0.25, 0.05
-    fails = 0
-    for seed in range(200):
-        o = f.as_oracle()
-        est = multilinear_estimate(o, x, EstimatorBudget(kappa=kappa,
-                                                         delta=delta), seed=seed)
-        if abs(est - exact) > kappa:
-            fails += 1
-    assert fails <= 2 * delta * 200
-
-
-def test_generic_oracle_estimation_path():
-    # non-coverage inner goes through per-sample counted evals
-    from dynsub.oracle import CountedOracle
-    o = CountedOracle(lambda S: math.sqrt(len(S)), set(range(4)))
-    v = multilinear_estimate(o, {0: 0.5, 1: 0.5},
-                             EstimatorBudget(samples=300), seed=1)
-    assert o.count == 300
-    assert 0.0 <= v <= 2.0

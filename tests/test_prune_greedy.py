@@ -4,8 +4,8 @@ import random
 import pytest
 
 from dynsub.matroid_dynamic import (BranchParams, InvariantError,
-                                    PruneGreedyState, branch_count,
-                                    combinatorial_half, enumerate_branches,
+                                    MatroidHalf, PruneGreedyState,
+                                    branch_count, enumerate_branches,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import ModularFunction, random_coverage
@@ -151,16 +151,20 @@ def test_guided_never_beats_exhaustive():
         if opt <= 0:
             continue
         params = BranchParams.override(2, 3, 0.33, opt)
-        guided = combinatorial_half(order, M, oracle, params, mode="guided")
-        exhaustive = combinatorial_half(order, M, oracle, params,
-                                        mode="exhaustive")
-        for (tg, _, vg), (te, _, ve) in zip(guided, exhaustive):
-            assert tg == te and ve >= vg - 1e-12
+        guided = MatroidHalf(oracle, M, params, mode="guided")
+        exhaustive = MatroidHalf(oracle, M, params, mode="exhaustive")
+        for e in order:
+            guided.insert(e)
+            exhaustive.insert(e)
+            vg = oracle.eval(guided.solution())
+            ve = oracle.eval(exhaustive.solution())
+            assert ve >= vg - 1e-12
 
 
 def test_single_element_stream_uniform_one():
     f = ModularFunction({0: 4.0})
     M = UniformMatroid(1, {0})
     params = BranchParams.standard(1, 0.33, opt=4.0)
-    rounds = combinatorial_half([0], M, f.as_oracle(), params, mode="guided")
-    assert rounds[-1][1] == {0}  # f(e) >= opt/2, so it must be held
+    half = MatroidHalf(f.as_oracle(), M, params, mode="guided")
+    half.insert(0)
+    assert half.solution() == {0}  # f(e) >= opt/2, so it must be held

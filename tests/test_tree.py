@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from dynsub.cli import _random_tree_pi
 from dynsub.hard_tree import (ShuffledTreeInstance, asymptotic_arities,
-                              traverse_leaves, traverse_stream, tree_F_eval,
-                              tree_G_exact, tree_sample, weight_sequence)
+                              random_tree_pi, traverse_leaves, traverse_stream,
+                              tree_F_eval, tree_G_exact, tree_sample,
+                              weight_sequence)
 
 
 def test_weight_sequence_identities():
@@ -99,7 +99,7 @@ def test_G_exact_matches_monte_carlo():
 
 
 def test_F_eval_path_and_saturation():
-    pi = _random_tree_pi((3, 2, 1), seed=4)
+    pi = random_tree_pi((3, 2, 1), seed=4)
     inst = tiny_tree(pi=pi)
     assert tree_F_eval(inst, frozenset()) == 0.0
     for leaf in inst.leaves:
@@ -154,8 +154,8 @@ def test_shuffle_invariance_under_lca_condition():
     arities = (3, 2, 1)
     found = nontrivial = 0
     while found < 40:
-        i1 = tiny_tree(pi=_random_tree_pi(arities, rng.randrange(10 ** 6)))
-        i2 = tiny_tree(pi=_random_tree_pi(arities, rng.randrange(10 ** 6)))
+        i1 = tiny_tree(pi=random_tree_pi(arities, rng.randrange(10 ** 6)))
+        i2 = tiny_tree(pi=random_tree_pi(arities, rng.randrange(10 ** 6)))
         S = frozenset(rng.sample(sorted(i1.ground), rng.randint(1, 10)))
         touched = sorted({i1.node_of_element(e) for e in S})
         ok = True
