@@ -7,28 +7,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from dataclasses import fields
 
-from dynsub.harness import (RunConfig, UnsupportedOpError, emit_report,
-                            parse_config, run_stream)
-from dynsub.hard_bipartite import (BipartiteInstance, bipartite_eval,
-                                   bipartite_eval_bruteforce, bipartite_stream)
-from dynsub.hard_tree import (ShuffledTreeInstance, random_tree_pi,
-                              tree_F_eval, traverse_stream, traverse_leaves,
-                              weight_sequence)
-from dynsub.matroid_dynamic import InvariantError
+from dynsub import hard_bipartite, hard_tree
+from dynsub.harness import (OPT_MODES, RunConfig, UnsupportedOpError,
+                            emit_report, parse_config, run_stream)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import CoverageFunction, random_coverage
-from dynsub.oracle import EnumerationBudgetError
+from dynsub.oracle import EnumerationBudgetError, InvariantError
 from dynsub.streams import Stream
 
 USAGE_ERROR = 1
 INVARIANT_ERROR = 2
 
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
-class InvariantViolation(RuntimeError):
-    pass
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so it exits 1 like every other one."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _load_oracle_inner(spec: str):
@@ -37,7 +37,7 @@ def _load_oracle_inner(spec: str):
             _, n, items, seed = spec.split(":")
             return random_coverage(int(n), int(items), int(seed))
         except ValueError as exc:
-            raise SystemExit(f"bad oracle spec {spec!r}: {exc}")
+            raise ValueError(f"bad oracle spec {spec!r}: {exc}") from None
     return CoverageFunction.load(spec)
 
 
@@ -50,108 +50,50 @@ def _load_matroid(spec: str | None, ground):
 
 
 def _cmd_run(args) -> int:
-    file_cfg = parse_config(args.config) if args.config else {}
-
-    def pick(name, cli_val, cast, default=None):
-        if cli_val is not None:
-            return cli_val
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return default
-
-    algo = pick("algo", args.algo, str)
-    k = pick("k", args.k, int)
-    epsilon = pick("epsilon", args.epsilon, float)
-    if algo is None or k is None or epsilon is None:
-        print("run: --algo, --k and --epsilon are required", file=sys.stderr)
-        return USAGE_ERROR
-    cfg = RunConfig(
-        algo=algo, k=k, epsilon=epsilon,
-        opt_mode=pick("opt_mode", args.opt_mode, str, "brute-force"),
-        opt_value=pick("opt", args.opt, float),
-        checkpoint=pick("checkpoint", args.checkpoint, str, "every-round"),
-        mode=pick("mode", args.mode, str, "guided"),
-        window=pick("window", args.window, int),
-        seed=pick("seed", args.seed, int, 0),
-    )
-    oracle_spec = pick("oracle", args.oracle, str)
-    if oracle_spec is None:
-        print("run: --oracle is required", file=sys.stderr)
-        return USAGE_ERROR
-    inner = _load_oracle_inner(oracle_spec)
-    stream_spec = pick("stream", args.stream, str)
-    if stream_spec:
-        stream = Stream.load(stream_spec)
+    # flags left unset fall back to the RunConfig defaults
+    cfg = RunConfig(**{name: v for name, v in vars(args).items()
+                       if name in _RUN_FIELDS and v is not None})
+    inner = _load_oracle_inner(args.oracle)
+    if args.stream:
+        stream = Stream.load(args.stream)
     else:
         stream = Stream.inserts(sorted(inner.ground))
     unknown = stream.elements() - inner.ground
     if unknown:
-        print(f"run: stream ids not in the oracle's ground set: "
-              f"{sorted(unknown)}", file=sys.stderr)
-        return USAGE_ERROR
-    matroid = _load_matroid(pick("matroid", args.matroid, str),
-                            stream.elements())
-    if cfg.opt_mode == "known" and cfg.opt_value is None:
-        print("run: opt_mode known needs --opt", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"stream ids not in the oracle's ground set: "
+                         f"{sorted(unknown)}")
+    matroid = _load_matroid(args.matroid, stream.elements())
     records, meta = run_stream(cfg, inner, stream, matroid=matroid)
-    meta["oracle"] = oracle_spec
-    meta["stream"] = stream_spec or "<all-inserts>"
-    fmt = pick("format", args.format, str, "csv")
+    meta["oracle"] = args.oracle
+    meta["stream"] = args.stream or "<all-inserts>"
     if args.out:
-        emit_report(records, fmt, args.out, meta=meta)
+        emit_report(records, args.format, args.out, meta=meta)
         print(f"wrote {len(records)} records to {args.out}")
     else:
         for r in records:
             print(f"t={r.t} value={r.value:.6g} opt={r.opt:.6g} "
                   f"ratio={r.ratio:.4f} q_total={r.q_total}")
-    bad = [r for r in records if not meta.get("opt_is_bound")
+    bad = [r.t for r in records if not meta.get("opt_is_bound")
            and r.ratio > 1.0 + 1e-9]
     if bad:
-        print(f"invariant violation: ratio above 1 at rounds "
-              f"{[r.t for r in bad]}", file=sys.stderr)
-        return INVARIANT_ERROR
+        raise InvariantError(f"ratio above 1 at rounds {bad}")
     return 0
-
-
-def _bipartite_descriptor(inst: BipartiteInstance, seed: int) -> dict:
-    return {
-        "family": "bipartite",
-        "seed": seed,
-        "m": inst.m, "k": inst.k, "w": inst.w, "eps": inst.eps,
-        "part_alpha": inst.part_alpha, "beta": inst.beta,
-        "pi": {str(i): inst.pi[i] for i in inst.pi},
-        "slots": {str(e): list(inst.slot[e]) for e in sorted(inst.slot)},
-    }
-
-
-def _tree_descriptor(inst: ShuffledTreeInstance, seed: int, d: int) -> dict:
-    return {
-        "family": "tree",
-        "seed": seed,
-        "k": inst.k, "eps": inst.eps, "arities": list(inst.arities), "d": d,
-        "pi": {json.dumps(u): {str(i): v for i, v in b.items()}
-               for u, b in inst.pi.items()},
-    }
 
 
 def _cmd_gen_stream(args) -> int:
     if args.family == "bipartite":
-        inst = BipartiteInstance(m=args.m, k=args.k, w=args.w, eps=args.eps,
-                                 part_alpha=args.alpha, beta=args.beta,
-                                 seed=args.seed)
-        stream = bipartite_stream(inst)
-        desc = _bipartite_descriptor(inst, args.seed)
-    elif args.family == "tree":
-        arities = tuple(int(s) for s in args.arities.split(","))
-        pi = random_tree_pi(arities, args.seed)
-        inst = ShuffledTreeInstance(k=args.k, eps=args.eps, arities=arities,
-                                    pi=pi)
-        stream = traverse_stream(inst, args.d)
-        desc = _tree_descriptor(inst, args.seed, args.d)
+        inst = hard_bipartite.BipartiteInstance(
+            m=args.m, k=args.k, w=args.w, eps=args.eps,
+            part_alpha=args.alpha, beta=args.beta, seed=args.seed)
+        stream = hard_bipartite.bipartite_stream(inst)
+        desc = hard_bipartite.bipartite_descriptor(inst)
     else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return USAGE_ERROR
+        arities = tuple(int(s) for s in args.arities.split(","))
+        inst = hard_tree.ShuffledTreeInstance(
+            k=args.k, eps=args.eps, arities=arities,
+            pi=hard_tree.random_tree_pi(arities, args.seed))
+        stream = hard_tree.traverse_stream(inst, args.d)
+        desc = hard_tree.tree_descriptor(inst, args.seed, args.d)
     stream.dump(args.out)
     desc_path = args.desc or args.out + ".json"
     with open(desc_path, "w") as fh:
@@ -161,147 +103,62 @@ def _cmd_gen_stream(args) -> int:
     return 0
 
 
-def _rebuild_from_descriptor(desc: dict):
-    if desc["family"] == "bipartite":
-        inst = BipartiteInstance(m=desc["m"], k=desc["k"], w=desc["w"],
-                                 eps=desc["eps"],
-                                 part_alpha=desc["part_alpha"],
-                                 beta=desc["beta"], seed=desc["seed"])
-        stored = {int(e): tuple(s) for e, s in desc["slots"].items()}
-        if stored != inst.slot:
-            raise InvariantViolation("descriptor layout does not match seed")
-        return inst
-    if desc["family"] == "tree":
-        pi = {tuple(json.loads(u)): {int(i): v for i, v in b.items()}
-              for u, b in desc["pi"].items()}
-        return ShuffledTreeInstance(k=desc["k"], eps=desc["eps"],
-                                    arities=tuple(desc["arities"]), pi=pi)
-    raise InvariantViolation(f"unknown family {desc['family']!r}")
-
-
-def _verify_bipartite(inst: BipartiteInstance) -> None:
-    rng = random.Random(0)
-    if bipartite_eval(inst, frozenset()) != 0.0:
-        raise InvariantViolation("value at the empty set is nonzero")
-    if inst.m <= 8:
-        ids = sorted(inst.ground)
-        for _ in range(20):
-            S = frozenset(rng.sample(ids, rng.randint(0, min(len(ids), 12))))
-            a = bipartite_eval(inst, S)
-            b = bipartite_eval_bruteforce(inst, S)
-            if abs(a - b) > 1e-9:
-                raise InvariantViolation(
-                    f"factorized value {a} != mixture sum {b}")
-    for i in range(1, inst.m + 1):
-        j = rng.randint(1, inst.w)
-        S = frozenset(inst.A_ids[(inst.pi[i], j)] + inst.B_ids[(i, j)])
-        if bipartite_eval(inst, S) < 1.0 - inst.eps - 1e-9:
-            raise InvariantViolation(f"paired color class {i},{j} undervalued")
-    stream = bipartite_stream(inst)
-    want = (2 - inst.part_alpha) * inst.m * inst.k * inst.w
-    if len(stream) != int(round(want)):
-        raise InvariantViolation("hard-stream length mismatch")
-
-
-def _verify_tree(inst: ShuffledTreeInstance, d: int) -> None:
-    tab = weight_sequence(inst.L)
-    for j in range(1, inst.L + 1):
-        prod = tab["a"][j]
-        for i in range(1, j):
-            prod *= 1.0 - tab["a"][i] / tab["A_geq"][i]
-        if abs(prod - 1.0) > 1e-9:
-            raise InvariantViolation(f"weight identity fails at depth {j}")
-    for leaf in inst.leaves:
-        S = [e for v in inst.shuffled_path_sets(leaf)
-             for e in inst.elements_of(v)]
-        if len(S) != inst.k or tree_F_eval(inst, S) != 1.0:
-            raise InvariantViolation(f"shuffled path of leaf {leaf} not optimal")
-    stream = traverse_stream(inst, d)
-    live: set = set()
-    visits = iter(traverse_leaves(inst, d))
-    expect = next(visits, None)
-    for op in stream:
-        if op.kind == "I":
-            live.add(op.element)
-        else:
-            live.discard(op.element)
-        if expect is not None and live == {
-                e for v in inst.sibling_sets(expect)
-                for e in inst.elements_of(v)}:
-            expect = next(visits, None)
-    if expect is not None:
-        raise InvariantViolation(f"leaf {expect} never saw its live set")
-
-
 def _cmd_verify_hard(args) -> int:
     with open(args.instance) as fh:
         desc = json.load(fh)
-    try:
-        inst = _rebuild_from_descriptor(desc)
-        if desc["family"] == "bipartite":
-            _verify_bipartite(inst)
-        else:
-            _verify_tree(inst, desc.get("d", 1))
-    except KeyError as exc:
-        print(f"verify-hard: descriptor has no key {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return INVARIANT_ERROR
+    family = desc.get("family") if isinstance(desc, dict) else None
+    if family == "bipartite":
+        hard_bipartite.verify_bipartite(
+            hard_bipartite.bipartite_from_descriptor(desc))
+    elif family == "tree":
+        hard_tree.verify_tree(*hard_tree.tree_from_descriptor(desc))
+    else:
+        raise ValueError("descriptor is not a JSON object of family "
+                         "bipartite or tree")
     print("all instance invariants hold")
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, parse) -> int:
+    """`parse(flag)` parses the bench command line with one more flag."""
     key, _, vals = args.sweep.partition("=")
     if not vals:
-        print("bench: --sweep needs key=v1,v2,...", file=sys.stderr)
-        return USAGE_ERROR
-    for val in vals.split(","):
-        sub = argparse.Namespace(**vars(args))
-        sub.config = args.config
-        setattr(sub, key.replace("-", "_"), _cast_flag(key, val))
-        sub.out = None
+        raise ValueError("bench: --sweep needs key=v1,v2,...")
+    runs = [(val, parse(f"--{key}={val}")) for val in vals.split(",")]
+    for val, run_args in runs:
         print(f"--- {key} = {val} ---")
-        rc = _cmd_run(sub)
-        if rc != 0:
-            return rc
+        _cmd_run(run_args)
     return 0
 
 
-def _cast_flag(key: str, val: str):
-    if key in ("k", "window", "seed"):
-        return int(val)
-    if key in ("epsilon", "opt"):
-        return float(val)
-    return val
-
-
 def _add_run_flags(p):
-    p.add_argument("--algo")
-    p.add_argument("--oracle")
+    p.add_argument("--algo", required=True)
+    p.add_argument("--oracle", required=True)
     p.add_argument("--stream")
     p.add_argument("--matroid")
-    p.add_argument("--k", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--opt", type=float)
-    p.add_argument("--opt-mode", dest="opt_mode",
-                   choices=["brute-force", "greedy-bound", "known"])
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--opt", dest="opt_value", type=float, metavar="OPT")
+    p.add_argument("--opt-mode", dest="opt_mode", choices=OPT_MODES)
     p.add_argument("--mode", choices=["guided", "exhaustive"])
     p.add_argument("--checkpoint")
     p.add_argument("--window", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dynsub")
-    sub = parser.add_subparsers(dest="cmd")
+def _parsers():
+    """The dynsub parser, and the one that finds a run's --config file."""
+    # no prefix matching, so a config or sweep key is a flag's exact name
+    config = _Parser(prog="dynsub", add_help=False, allow_abbrev=False)
+    config.add_argument("--config")
+    parser = _Parser(prog="dynsub")
+    sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="replay a stream through an algorithm")
+    p_run = sub.add_parser("run", parents=[config], allow_abbrev=False,
+                           help="replay a stream through an algorithm")
     _add_run_flags(p_run)
+    p_run.add_argument("--out")
+    p_run.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_gen = sub.add_parser("gen-stream", help="emit a hard-instance stream")
     p_gen.add_argument("--family", required=True, choices=["bipartite", "tree"])
@@ -320,22 +177,43 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify-hard", help="check instance invariants")
     p_ver.add_argument("--instance", required=True)
 
-    p_bench = sub.add_parser("bench", help="sweep one run parameter")
+    p_bench = sub.add_parser("bench", parents=[config], allow_abbrev=False,
+                             help="sweep one run parameter")
     _add_run_flags(p_bench)
     p_bench.add_argument("--sweep", required=True)
+    p_bench.set_defaults(out=None)  # sweep runs print their records
+    return parser, config
 
-    args = parser.parse_args(argv)
+
+def _with_config(argv: list, config) -> list:
+    """argv with the `key = value` lines of a run's --config file put
+    in front of the command's flags as `--key=value`, so flags given on
+    the command line override the file."""
+    if argv[:1] not in (["run"], ["bench"]):
+        return argv
+    path = config.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    return (argv[:1] + [f"--{k}={v}" for k, v in parse_config(path).items()]
+            + argv[1:])
+
+
+def main(argv=None) -> int:
+    parser, config = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+
+    def parse(*extra):
+        return parser.parse_args(_with_config(argv + list(extra), config))
+
     try:
+        args = parse()
         if args.cmd == "run":
             return _cmd_run(args)
         if args.cmd == "gen-stream":
             return _cmd_gen_stream(args)
         if args.cmd == "verify-hard":
             return _cmd_verify_hard(args)
-        if args.cmd == "bench":
-            return _cmd_bench(args)
-    except SystemExit:
-        raise
+        return _cmd_bench(args, parse)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
@@ -343,8 +221,6 @@ def main(argv=None) -> int:
             UnsupportedOpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    parser.print_usage(sys.stderr)
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from dynsub.oracle import InvariantError
 from dynsub.streams import Stream, StreamOp, INSERT, DELETE
 
 
@@ -51,18 +52,13 @@ class SymGapParams:
                    phi_alpha=eps / (2.0 * w ** 6))
 
     @classmethod
-    def test_friendly(cls, w: int, eps: float,
-                      gamma: float | None = None) -> "SymGapParams":
+    def test_friendly(cls, w: int, eps: float) -> "SymGapParams":
         """Numerically representable parameters preserving the
         qualitative structure: eps2 <= eps^2 keeps the sandwich
         f - eps <= fhat <= f, and the tiny phi_alpha keeps phi' >= 0."""
-        if gamma is None:
-            gamma = 0.01 / w
-        eps1 = w * gamma
-        eps2 = 0.9 * min(eps ** 2, 0.25)
-        if not eps1 < eps2:
-            raise ValueError(f"gamma {gamma} too large for eps {eps}")
-        return cls(w=w, eps=eps, gamma=gamma, eps1=eps1, eps2=eps2,
+        gamma = 0.01 / w
+        return cls(w=w, eps=eps, gamma=gamma, eps1=w * gamma,
+                   eps2=0.9 * min(eps ** 2, 0.25),
                    phi_alpha=eps / (2.0 * w ** 6))
 
 
@@ -106,16 +102,18 @@ class BipartiteInstance:
 
     def __init__(self, m: int, k: int, w: int, eps: float,
                  part_alpha: float = 0.5, beta: float = 0.42,
-                 seed: int = 0, sym: SymGapParams | None = None):
+                 seed: int = 0):
         ak = part_alpha * k
         bk = (1.0 - part_alpha) * k
-        if abs(ak - round(ak)) > 1e-9 or abs(bk - round(bk)) > 1e-9:
-            raise ValueError("alpha*k and (1-alpha)*k must be integers")
+        if (abs(ak - round(ak)) > 1e-9 or abs(bk - round(bk)) > 1e-9
+                or round(ak) < 1 or round(bk) < 1):
+            raise ValueError("alpha*k and (1-alpha)*k must be positive "
+                             "integers")
         self.m, self.k, self.w, self.eps = m, k, w, eps
-        self.part_alpha, self.beta = part_alpha, beta
+        self.part_alpha, self.beta, self.seed = part_alpha, beta, seed
         self.a_class = int(round(ak))  # elements per A color class
         self.b_class = int(round(bk))
-        self.sym = sym if sym is not None else SymGapParams.test_friendly(w, eps)
+        self.sym = SymGapParams.test_friendly(w, eps)
         self.gamma = self.sym.gamma
         rng = random.Random(seed)
         perm = list(range(1, m + 1))
@@ -279,3 +277,65 @@ def bipartite_stream(inst: BipartiteInstance) -> Stream:
         ops.extend(StreamOp(INSERT, e) for e in blk)
         ops.extend(StreamOp(DELETE, e) for e in blk)
     return Stream(ops)
+
+
+def bipartite_descriptor(inst: BipartiteInstance) -> dict:
+    """The instance as a JSON object: its parameters and seed, and the
+    pairing and element layout the seed produces."""
+    return {
+        "family": "bipartite",
+        "seed": inst.seed,
+        "m": inst.m, "k": inst.k, "w": inst.w, "eps": inst.eps,
+        "part_alpha": inst.part_alpha, "beta": inst.beta,
+        "pi": {str(i): inst.pi[i] for i in inst.pi},
+        "slots": {str(e): list(inst.slot[e]) for e in sorted(inst.slot)},
+    }
+
+
+_FIELDS = (("m", int), ("k", int), ("w", int), ("eps", (int, float)),
+           ("part_alpha", (int, float)), ("beta", (int, float)),
+           ("seed", int), ("pi", dict), ("slots", dict))
+
+
+def bipartite_from_descriptor(desc: dict) -> BipartiteInstance:
+    """Rebuild the instance from a descriptor's parameters and seed.
+
+    A missing or mistyped field raises ValueError; a stored pairing or
+    layout that the seed does not produce raises InvariantError.
+    """
+    for key, kind in _FIELDS:
+        if key not in desc:
+            raise ValueError(f"descriptor has no key {key!r}")
+        if not isinstance(desc[key], kind):
+            raise ValueError(f"descriptor field {key!r} is {desc[key]!r}")
+    inst = BipartiteInstance(m=desc["m"], k=desc["k"], w=desc["w"],
+                             eps=desc["eps"], part_alpha=desc["part_alpha"],
+                             beta=desc["beta"], seed=desc["seed"])
+    if bipartite_descriptor(inst) != desc:
+        raise InvariantError("descriptor does not match the instance its "
+                             "seed produces")
+    return inst
+
+
+def verify_bipartite(inst: BipartiteInstance) -> None:
+    """Check the construction's identities; raises InvariantError."""
+    rng = random.Random(0)
+    if bipartite_eval(inst, frozenset()) != 0.0:
+        raise InvariantError("value at the empty set is nonzero")
+    if inst.m <= 8:
+        ids = sorted(inst.ground)
+        for _ in range(20):
+            S = frozenset(rng.sample(ids, rng.randint(0, min(len(ids), 12))))
+            a = bipartite_eval(inst, S)
+            b = bipartite_eval_bruteforce(inst, S)
+            if abs(a - b) > 1e-9:
+                raise InvariantError(f"factorized value {a} != mixture sum {b}")
+    for i in range(1, inst.m + 1):
+        j = rng.randint(1, inst.w)
+        S = frozenset(inst.A_ids[(inst.pi[i], j)] + inst.B_ids[(i, j)])
+        if bipartite_eval(inst, S) < 1.0 - inst.eps - 1e-9:
+            raise InvariantError(f"paired color class {i},{j} undervalued")
+    stream = bipartite_stream(inst)
+    want = (2 - inst.part_alpha) * inst.m * inst.k * inst.w
+    if len(stream) != int(round(want)):
+        raise InvariantError("hard-stream length mismatch")

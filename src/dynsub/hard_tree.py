@@ -13,10 +13,14 @@ tuple (u1, ..., u_ell) with 1 <= u_i <= arity[i].
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
+from dynsub.oracle import InvariantError
 from dynsub.streams import Stream, StreamOp, INSERT, DELETE
+
+MAX_STREAM_OPS = 2_000_000  # cap on the length of a traverse stream
 
 
 def weight_sequence(L: int) -> dict:
@@ -76,6 +80,8 @@ class ShuffledTreeInstance:
     MAX_NODES = 200_000
 
     def __init__(self, k: int, eps: float, arities, pi=None):
+        if not 0.0 < eps <= 1.0:
+            raise ValueError("eps must be in (0, 1]")
         L = 1.0 / eps
         if abs(L - round(L)) > 1e-9:
             raise ValueError("1/eps must be an integer")
@@ -86,13 +92,13 @@ class ShuffledTreeInstance:
         self.w = int(round(w))
         self.k = k
         self.eps = eps
-        arities = tuple(int(m) for m in arities)
+        arities = tuple(arities)
         if len(arities) != self.L:
             raise ValueError(f"need {self.L} arities, got {len(arities)}")
         if arities[-1] != 1:
             raise ValueError("last-level arity must be 1")
-        if any(m < 1 for m in arities):
-            raise ValueError("arities must be >= 1")
+        if any(not isinstance(m, int) or m < 1 for m in arities):
+            raise ValueError(f"arities {arities} must be integers >= 1")
         self.arities = arities
         n_nodes = 0
         layer = 1
@@ -107,8 +113,14 @@ class ShuffledTreeInstance:
         self.pi = {u: dict(b) for u, b in (pi or {}).items()}
         self._pi_inv = {u: {v: i for i, v in b.items()}
                         for u, b in self.pi.items()}
+        # an entry maps the children of u onto themselves, one to one
+        kids = [set(range(1, m + 1)) for m in arities] + [set()]
+        for u, b in self.pi.items():
+            want = kids[min(len(u), self.L)]
+            if not b.keys() == self._pi_inv[u].keys() == want:
+                raise ValueError(f"pi at node {u} is not a permutation "
+                                 f"of its children")
         # element ids assigned in BFS node order
-        self.node_of: list = []
         self.base_id: dict = {}
         nid = 0
         frontier = [()]
@@ -150,11 +162,6 @@ class ShuffledTreeInstance:
         if not v:
             return v
         return v[:-1] + (self.pi_inv_map(v[:-1], v[-1]),)
-
-    def path_sets(self, leaf) -> list:
-        """The unshuffled high-value support: A_v for every node v on the
-        root path to the leaf (leaf included)."""
-        return [leaf[:d] for d in range(1, self.L + 1)]
 
     def shuffled_path_sets(self, leaf) -> list:
         """Nodes whose A-sets map onto the root path under rho_pi."""
@@ -237,8 +244,7 @@ def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
     return min(tree_G_exact(inst, x) + inst.eps * len(S) / inst.k, 1.0)
 
 
-def traverse_stream(inst: ShuffledTreeInstance, d: int,
-                    max_ops: int = 2_000_000) -> Stream:
+def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:
     """Limited-DFS stream: at each internal node insert all children's
     A-sets, recurse into the first d children, then delete them; at
     depth L-1 the single leaf child is inserted then deleted."""
@@ -247,8 +253,8 @@ def traverse_stream(inst: ShuffledTreeInstance, d: int,
     total = sum(d ** ell * inst.arities[ell] * 2 * inst.w
                 for ell in range(inst.L - 1))
     total += d ** (inst.L - 1) * 2 * inst.w
-    if total > max_ops:
-        raise ValueError(f"stream length {total} exceeds cap {max_ops}")
+    if total > MAX_STREAM_OPS:
+        raise ValueError(f"stream length {total} exceeds cap {MAX_STREAM_OPS}")
     ops: list[StreamOp] = []
 
     def visit(u):
@@ -314,3 +320,77 @@ def asymptotic_arities(n: int, k: int, eps: float):
     if total > n:
         raise ValueError(f"stream length {total} exceeds n = {n}")
     return tuple(arities), d
+
+
+def tree_descriptor(inst: ShuffledTreeInstance, seed: int, d: int) -> dict:
+    """The instance drawn by random_tree_pi(arities, seed), and the
+    width d of its traverse stream, as a JSON object."""
+    return {
+        "family": "tree",
+        "seed": seed,
+        "k": inst.k, "eps": inst.eps, "arities": list(inst.arities), "d": d,
+        "pi": {json.dumps(u): {str(i): v for i, v in b.items()}
+               for u, b in inst.pi.items()},
+    }
+
+
+_FIELDS = (("k", int), ("eps", (int, float)), ("arities", list), ("d", int),
+           ("seed", int), ("pi", dict))
+
+
+def tree_from_descriptor(desc: dict):
+    """Rebuild (instance, d) from a descriptor.
+
+    A missing or malformed field raises ValueError; a stored pi that
+    random_tree_pi does not draw from the seed raises InvariantError.
+    """
+    for key, kind in _FIELDS:
+        if key not in desc:
+            raise ValueError(f"descriptor has no key {key!r}")
+        if not isinstance(desc[key], kind):
+            raise ValueError(f"descriptor field {key!r} is {desc[key]!r}")
+    try:
+        # a non-integer child drops out and fails the permutation check
+        pi = {tuple(json.loads(u)): {int(i): v for i, v in b.items()
+                                     if isinstance(v, int)}
+              for u, b in desc["pi"].items()}
+    except (TypeError, AttributeError):
+        raise ValueError("descriptor pi is malformed") from None
+    inst = ShuffledTreeInstance(k=desc["k"], eps=desc["eps"],
+                                arities=desc["arities"], pi=pi)
+    if inst.pi != random_tree_pi(inst.arities, desc["seed"]):
+        raise InvariantError("descriptor pi does not match its seed")
+    return inst, desc["d"]
+
+
+def verify_tree(inst: ShuffledTreeInstance, d: int) -> None:
+    """Check the weight identity, that every shuffled root path is
+    optimal, and that the traverse stream shows each visited leaf its
+    sibling sets; raises InvariantError."""
+    stream = traverse_stream(inst, d)  # first: it checks d and the length
+    tab = weight_sequence(inst.L)
+    for j in range(1, inst.L + 1):
+        prod = tab["a"][j]
+        for i in range(1, j):
+            prod *= 1.0 - tab["a"][i] / tab["A_geq"][i]
+        if abs(prod - 1.0) > 1e-9:
+            raise InvariantError(f"weight identity fails at depth {j}")
+    for leaf in inst.leaves:
+        S = [e for v in inst.shuffled_path_sets(leaf)
+             for e in inst.elements_of(v)]
+        if len(S) != inst.k or tree_F_eval(inst, S) != 1.0:
+            raise InvariantError(f"shuffled path of leaf {leaf} not optimal")
+    live: set = set()
+    visits = iter(traverse_leaves(inst, d))
+    expect = next(visits, None)
+    for op in stream:
+        if op.kind == INSERT:
+            live.add(op.element)
+        else:
+            live.discard(op.element)
+        if expect is not None and live == {
+                e for v in inst.sibling_sets(expect)
+                for e in inst.elements_of(v)}:
+            expect = next(visits, None)
+    if expect is not None:
+        raise InvariantError(f"leaf {expect} never saw its live set")

@@ -15,7 +15,7 @@ from dynsub.matroid_dynamic import BranchParams, MatroidHalf
 # unused here, but perfbench/tracer.py wraps these names on this module
 from dynsub.matroid_dynamic import reference_lpass, run_prune_greedy  # noqa: F401
 from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
-from dynsub.streams import INSERT, Stream
+from dynsub.streams import Stream
 
 
 class UnsupportedOpError(RuntimeError):
@@ -37,18 +37,27 @@ class RoundRecord:
                "q_round", "q_total")
 
 
+OPT_MODES = ("brute-force", "greedy-bound", "known")
+
+
 @dataclass
 class RunConfig:
     algo: str
     k: int
     epsilon: float
-    opt_mode: str = "brute-force"  # brute-force | greedy-bound | known
+    opt_mode: str = "brute-force"  # one of OPT_MODES
     opt_value: float | None = None
     brute_budget: int = 10 ** 6
     checkpoint: str = "every-round"  # every-round | every-n:<n> | at-end
     mode: str = "guided"  # matroid-half: guided | exhaustive
     window: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.opt_mode not in OPT_MODES:
+            raise ValueError(f"bad opt_mode {self.opt_mode!r}")
+        if self.opt_mode == "known" and self.opt_value is None:
+            raise ValueError("opt_mode known needs opt_value")
 
     def checkpoint_rounds(self, n_ops: int):
         if self.checkpoint == "every-round":
@@ -67,9 +76,6 @@ class RunConfig:
             pts.add(n_ops)
             return pts
         raise ValueError(f"bad checkpoint policy {self.checkpoint!r}")
-
-    def as_flat(self) -> dict:
-        return asdict(self)
 
 
 def parse_config(path) -> dict:
@@ -116,8 +122,6 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid):
     if not ground:
         return 0.0, False
     if cfg.opt_mode == "known":
-        if cfg.opt_value is None:
-            raise ValueError("opt_mode known requires opt_value")
         return cfg.opt_value, False
     if cfg.opt_mode == "brute-force":
         try:
@@ -130,8 +134,6 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid):
             return v, False
         except EnumerationBudgetError:
             pass  # fall through to the greedy bound
-    if cfg.opt_mode not in ("brute-force", "greedy-bound"):
-        raise ValueError(f"bad opt_mode {cfg.opt_mode!r}")
     _, g = offline_greedy(oracle, ground,
                           k=None if matroid is not None else cfg.k,
                           matroid=matroid)
@@ -173,11 +175,14 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     it, one for the algorithm and one for harness metric probes.
     Returns (records, meta) with meta carrying the echoed config.
     """
+    if cfg.algo not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {cfg.algo!r}")
+    if not stream.insertion_only:
+        raise UnsupportedOpError(
+            f"algorithm {cfg.algo} is insertion-only; the stream has deletions")
     ground_all = stream.elements()
     algo_oracle = CountedOracle(inner, ground_all)
     probe_oracle = CountedOracle(inner, ground_all)
-    if cfg.algo not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algo!r}")
     algo = _ALGORITHMS[cfg.algo](cfg, algo_oracle, matroid)
     checkpoints = cfg.checkpoint_rounds(len(stream))
     records: list[RoundRecord] = []
@@ -185,9 +190,6 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     q_prev = 0
     any_bound = False
     for t, op in enumerate(stream, start=1):
-        if op.kind != INSERT:
-            raise UnsupportedOpError(
-                f"algorithm {cfg.algo} is insertion-only; op {t} deletes")
         live.add(op.element)
         algo.insert(op.element)
         if t not in checkpoints:
@@ -202,7 +204,7 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
             t=t, op=op.kind, ground=len(live), value=value, opt=opt,
             ratio=ratio, q_round=q_total - q_prev, q_total=q_total))
         q_prev = q_total
-    meta = cfg.as_flat()
+    meta = asdict(cfg)
     meta["opt_is_bound"] = any_bound
     return records, meta
 

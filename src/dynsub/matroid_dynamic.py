@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import multilinear_exact, plus_direction
-from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
-
-
-class InvariantError(RuntimeError):
-    pass
+from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
+                           InvariantError, brute_force_opt)
 
 
 @dataclass(frozen=True)
@@ -173,14 +170,12 @@ class PruneGreedyState:
 
 @dataclass
 class LPassResult:
-    S_levels: list  # per pass, accepted elements in order
-    T_levels: list  # per pass, the budget-exhausting prefix
     a_star: tuple
     T: frozenset
     value: float  # h(T) accumulated the pruned-greedy way
 
 
-def reference_lpass(prefix, opt, h: CountedOracle, M,
+def reference_lpass(prefix, h: CountedOracle, M,
                     params: BranchParams) -> LPassResult:
     """Offline L-pass greedy with per-pass floor-rounded pruning.
 
@@ -193,7 +188,7 @@ def reference_lpass(prefix, opt, h: CountedOracle, M,
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
-    S_levels, T_levels, a_star = [], [], []
+    a_star = []
     for level in range(1, params.L + 1):
         thresh = params.threshold(level)
         S_ell: list[tuple[int, float]] = []  # (element, accepted marginal)
@@ -212,42 +207,22 @@ def reference_lpass(prefix, opt, h: CountedOracle, M,
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0
         a_star.append(a_ell)
-        T_ell: list[int] = []
         if a_ell > 0:
             c = a_ell * params.delta
             for e, m in S_ell:
-                T_ell.append(e)
+                T.append(e)
+                T_set.add(e)
+                t_val += m  # summed as PruneGreedyState sums h_of_S
                 c -= m
                 if c <= 0.0:
                     break
             else:
                 raise InvariantError("pass value failed to exhaust its own budget")
-            for e in T_ell:
-                T.append(e)
-                T_set.add(e)
-            # replay all accepted marginals in order so t_val matches the
-            # online cache bit-for-bit
-            t_val = _replay_value(h, T)
-        S_levels.append([e for e, _ in S_ell])
-        T_levels.append(T_ell)
     if sum(a_star) > params.R:
         raise InvariantError(
             f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
             "opt is likely mis-scaled")
-    return LPassResult(S_levels=S_levels, T_levels=T_levels,
-                       a_star=tuple(a_star), T=frozenset(T), value=t_val)
-
-
-def _replay_value(h: CountedOracle, elems) -> float:
-    """Value of the element list accumulated as a running sum of
-    marginals, matching the online cache arithmetic."""
-    val = 0.0
-    cur: set = set()
-    for e in elems:
-        m = h.eval(cur | {e}) - val
-        cur.add(e)
-        val += m
-    return val
+    return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val)
 
 
 def run_prune_greedy(prefix, h: CountedOracle, M, params: BranchParams,
@@ -290,8 +265,8 @@ class MatroidHalf:
 
     def solution(self) -> frozenset:
         if self.mode == "guided":
-            ref = reference_lpass(self.history, self.params.opt, self.oracle,
-                                  self.M, self.params)
+            ref = reference_lpass(self.history, self.oracle, self.M,
+                                  self.params)
             return run_prune_greedy(self.history, self.oracle, self.M,
                                     self.params, ref.a_star).solution()
         best_S, best_v = frozenset(), 0.0
@@ -364,7 +339,7 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
             stage_sets.append(frozenset())
             continue
         params = BranchParams.standard(k, cfg.epsilon, d_tau)
-        ref = reference_lpass(elements, d_tau, g, M, params)
+        ref = reference_lpass(elements, g, M, params)
         state = run_prune_greedy(elements, g, M, params, ref.a_star)
         S_tau = state.solution()
         stage_sets.append(S_tau)

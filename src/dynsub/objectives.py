@@ -12,6 +12,7 @@ import random
 from dynsub.oracle import CountedOracle, EnumerationBudgetError
 
 BRUTE_FORCE_SUPPORT = 20
+MAX_COVER = 4  # most items one random_coverage element covers
 
 
 class CoverageFunction:
@@ -121,14 +122,15 @@ class ModularFunction:
 
 
 def random_coverage(n_elements: int, n_items: int, seed: int,
-                    max_cover: int = 4, weighted: bool = False) -> CoverageFunction:
-    """Seeded random coverage instance; every element covers >= 1 item."""
+                    weighted: bool = False) -> CoverageFunction:
+    """Seeded random coverage instance; every element covers 1 to
+    MAX_COVER items."""
     rng = random.Random(seed)
     items = [f"u{j}" for j in range(n_items)]
     universe = [(it, rng.uniform(0.5, 2.0) if weighted else 1.0) for it in items]
     covers = {}
     for e in range(n_elements):
-        size = rng.randint(1, min(max_cover, n_items))
+        size = rng.randint(1, min(MAX_COVER, n_items))
         covers[e] = set(rng.sample(items, size))
     return CoverageFunction(universe, covers)
 

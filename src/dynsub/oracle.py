@@ -22,6 +22,10 @@ class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget."""
 
 
+class InvariantError(RuntimeError):
+    """A guarantee of the paper or of a construction does not hold."""
+
+
 class CountedOracle:
     """Wraps a set function with a monotone query counter.
 

@@ -145,7 +145,7 @@ def test_criterion_4_exact_parity():
             continue
         checked += 1
         params = BranchParams.standard(4, 0.33, opt)
-        ref = reference_lpass(order, opt, oracle, M, params)
+        ref = reference_lpass(order, oracle, M, params)
         st = run_prune_greedy(order, oracle, M, params, ref.a_star)
         if not st.terminated or st.solution() != ref.T:
             mismatches += 1

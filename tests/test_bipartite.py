@@ -1,13 +1,17 @@
+import json
 import math
 import random
 
 import pytest
 
 from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams, analytic_F,
-                                   analytic_Q, bipartite_eval,
-                                   bipartite_eval_bruteforce, bipartite_stream,
-                                   fhat, is_balanced, phi, symmetric_eval)
-from dynsub.oracle import CountedOracle, check_submodular_monotone
+                                   analytic_Q, bipartite_descriptor,
+                                   bipartite_eval, bipartite_eval_bruteforce,
+                                   bipartite_from_descriptor, bipartite_stream,
+                                   fhat, is_balanced, phi, symmetric_eval,
+                                   verify_bipartite)
+from dynsub.oracle import (CountedOracle, InvariantError,
+                           check_submodular_monotone)
 from dynsub.streams import DELETE, INSERT
 
 
@@ -118,6 +122,20 @@ def test_stream_shape():
 def test_integrality_validation():
     with pytest.raises(ValueError):
         BipartiteInstance(m=2, k=3, w=2, eps=0.33, part_alpha=0.5)
+    for k, alpha in ((0, 0.5), (4, 1.0), (4, 0.0)):  # an empty side
+        with pytest.raises(ValueError, match="positive integers"):
+            BipartiteInstance(m=2, k=k, w=2, eps=0.33, part_alpha=alpha)
+
+
+def test_verify_and_descriptor_round_trip():
+    for seed in range(5):
+        inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33, seed=seed)
+        verify_bipartite(inst)
+        desc = json.loads(json.dumps(bipartite_descriptor(inst)))
+        back = bipartite_from_descriptor(desc)
+        assert back.slot == inst.slot and back.pi == inst.pi
+        with pytest.raises(InvariantError, match="its seed produces"):
+            bipartite_from_descriptor(dict(desc, seed=seed + 1))
 
 
 def sample_agreeing_triple(inst, rng):

@@ -38,6 +38,49 @@ def test_verify_corrupted_descriptor(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def _tree_desc(tmp_path):
+    out = str(tmp_path / "tree.stream")
+    assert main(["gen-stream", "--family", "tree", "--k", "4",
+                 "--eps", "0.5", "--arities", "2,1", "--out", out]) == 0
+    return json.loads(open(out + ".json").read())
+
+
+def _swap_root(pi):
+    return dict(pi, **{"[]": {"1": pi["[]"]["2"], "2": pi["[]"]["1"]}})
+
+
+@pytest.mark.parametrize("tamper, code, needle", [
+    (lambda d: [], 1, "not a JSON object"),
+    (lambda d: dict(d, pi="x"), 1, "'pi' is 'x'"),
+    (lambda d: dict(d, pi=dict(d["pi"], **{"[]": {"1": 1, "2": 1}})), 1,
+     "not a permutation"),
+    (lambda d: dict(d, pi=_swap_root(d["pi"])), 2, "does not match its seed"),
+])
+def test_verify_malformed_tree_descriptor(tamper, code, needle, tmp_path,
+                                          capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tamper(_tree_desc(tmp_path))))
+    capsys.readouterr()
+    assert main(["verify-hard", "--instance", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert needle in err
+
+
+def test_verify_mistyped_bipartite_field(tmp_path, capsys):
+    out = str(tmp_path / "bip.stream")
+    main(["gen-stream", "--family", "bipartite", "--m", "2", "--k", "4",
+          "--w", "2", "--eps", "0.33", "--out", out])
+    desc = json.loads(open(out + ".json").read())
+    with open(out + ".json", "w") as fh:
+        json.dump(dict(desc, m="x"), fh)
+    capsys.readouterr()
+    assert main(["verify-hard", "--instance", out + ".json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'m' is 'x'" in err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["run", "--oracle", "random:6:5:0"]) == 1
@@ -67,6 +110,36 @@ def test_run_config_file_with_cli_override(tmp_path, capsys):
     text = open(out).read()
     assert "# epsilon = 0.25" in text
     capsys.readouterr()
+
+
+def test_run_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("algo = card-ladder\nk = 2\nepsilon = 0.5\n"
+                   "oracle = random:6:5:1\nepsilom = 0.25\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--epsilom=0.25" in captured.err
+
+
+BENCH = ["bench", "--algo", "card-ladder", "--oracle", "random:6:5:0",
+         "--k", "2", "--epsilon", "0.5"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["run", "--algo", "card-ladder", "--oracle", "random:6:5:0",
+      "--k", "abc", "--epsilon", "0.5"], "invalid int value: 'abc'"),
+    (BENCH + ["--sweep", "foo=1,2"], "--foo=1"),
+    (BENCH + ["--sweep", "epsilo=0.1,0.2"], "--epsilo=0.1"),
+    (BENCH + ["--sweep", "opt-mode=bogus"], "invalid choice: 'bogus'"),
+    (BENCH + ["--sweep", "k=1,x"], "invalid int value: 'x'"),
+])
+def test_bad_run_parameters_exit_1(argv, needle, capsys):
+    # refused by the parser before any run starts
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert needle in captured.err
 
 
 def test_bench_sweep(capsys):

@@ -61,11 +61,26 @@ def test_fixed_target_amortized_budget():
 
 
 def test_insertion_only_rejects_deletes():
-    f = ModularFunction({0: 1.0})
+    # refused before the first round: no set is ever evaluated
+    queried = []
+
+    def f(S):
+        queried.append(S)
+        return float(len(S))
+
     cfg = RunConfig(algo="card-ladder", k=1, epsilon=0.5)
-    stream = Stream([StreamOp(INSERT, 0), StreamOp(DELETE, 0)])
-    with pytest.raises(UnsupportedOpError):
+    stream = Stream([StreamOp(INSERT, 0), StreamOp(INSERT, 1),
+                     StreamOp(DELETE, 0)])
+    with pytest.raises(UnsupportedOpError, match="insertion-only"):
         run_stream(cfg, f, stream)
+    assert queried == []
+
+
+@pytest.mark.parametrize("mode, opt", [("bogus", None), ("known", None)])
+def test_run_config_rejects_bad_opt_mode(mode, opt):
+    with pytest.raises(ValueError, match="opt_mode"):
+        RunConfig(algo="card-ladder", k=1, epsilon=0.5, opt_mode=mode,
+                  opt_value=opt)
 
 
 def test_csv_shape_and_json_round_trip(tmp_path):

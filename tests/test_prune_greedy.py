@@ -71,7 +71,7 @@ def test_single_level_modular_hand_trace():
 def test_reference_empty_prefix():
     f = ModularFunction({0: 1.0})
     params = BranchParams.override(2, 3, 0.5, opt=1.0)
-    res = reference_lpass([], 1.0, f.as_oracle(), UniformMatroid(1, {0}),
+    res = reference_lpass([], f.as_oracle(), UniformMatroid(1, {0}),
                           params)
     assert res.T == frozenset() and res.a_star == (0, 0)
 
@@ -80,7 +80,7 @@ def test_reference_modular_two_elements():
     f = ModularFunction({0: 3.0, 1: 2.5})
     M = UniformMatroid(2, {0, 1})
     params = BranchParams.standard(2, 0.33, opt=5.5)
-    res = reference_lpass([0, 1], 5.5, f.as_oracle(), M, params)
+    res = reference_lpass([0, 1], f.as_oracle(), M, params)
     # both clear the pass-1 threshold of opt/1... no: threshold is opt itself
     # at level 1 only for marginals >= opt; here neither does, they land in
     # later passes, but total mass bound still holds
@@ -95,7 +95,7 @@ def test_pruned_mass_bound():
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
-        res = reference_lpass(order, opt, oracle, M, params)
+        res = reference_lpass(order, oracle, M, params)
         assert sum(res.a_star) * params.delta < 2 * opt
         assert sum(res.a_star) <= params.R
 
@@ -108,10 +108,26 @@ def test_parity_with_reference_50_seeds():
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
-        res = reference_lpass(order, opt, oracle, M, params)
+        res = reference_lpass(order, oracle, M, params)
         st = run_prune_greedy(order, oracle, M, params, res.a_star)
         assert st.terminated, f"seed {seed}: did not terminate in prefix"
         assert st.solution() == res.T, f"seed {seed}: sets differ"
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.33, 0.5])
+def test_reference_value_is_pruned_greedy_value(eps):
+    # LPassResult.value is h(T) summed the way the online cache sums it
+    for seed in range(200):
+        f, M, order = random_partition_instance(seed + 300)
+        oracle = f.as_oracle()
+        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        if opt <= 0:
+            continue
+        params = BranchParams.standard(4, eps, opt)
+        res = reference_lpass(order, oracle, M, params)
+        st = run_prune_greedy(order, oracle, M, params, res.a_star)
+        assert st.solution() == res.T, f"seed {seed}: sets differ"
+        assert st.h_of_S == res.value, f"seed {seed}: values differ"
 
 
 def test_budget_semantics_and_feasibility():
@@ -136,7 +152,7 @@ def test_amortized_query_bound():
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
-        res = reference_lpass(order, opt, oracle, M, params)
+        res = reference_lpass(order, oracle, M, params)
         before = oracle.count
         st = run_prune_greedy(order, oracle, M, params, res.a_star)
         assert st.charged <= 4 * params.L * len(st.history) + 2

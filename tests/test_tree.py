@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -6,8 +7,10 @@ import pytest
 
 from dynsub.hard_tree import (ShuffledTreeInstance, asymptotic_arities,
                               random_tree_pi, traverse_leaves, traverse_stream,
-                              tree_F_eval, tree_G_exact, tree_sample,
-                              weight_sequence)
+                              tree_descriptor, tree_F_eval,
+                              tree_from_descriptor, tree_G_exact, tree_sample,
+                              verify_tree, weight_sequence)
+from dynsub.oracle import InvariantError
 
 
 def test_weight_sequence_identities():
@@ -46,6 +49,12 @@ def test_constructor_validation():
         ShuffledTreeInstance(k=3, eps=0.5, arities=(2, 1))  # eps*k not int
     with pytest.raises(ValueError):
         ShuffledTreeInstance(k=4, eps=0.5, arities=(2, 2))  # last arity != 1
+    with pytest.raises(ValueError):
+        ShuffledTreeInstance(k=4, eps=0.0, arities=(1,))
+    for bad in ({1: 1, 2: 1}, {1: 2}, {1: 2, 2: 3}, {1: "2", 2: 1}):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ShuffledTreeInstance(k=4, eps=0.5, arities=(2, 1),
+                                 pi={(): bad})
 
 
 def test_sample_hits_each_path_once():
@@ -132,6 +141,18 @@ def test_traverse_stream_shape_and_live_sets():
                 hits.append(leaves[li])
                 li += 1
     assert hits == leaves
+
+
+def test_verify_and_descriptor_round_trip():
+    arities = (3, 2, 1)
+    for seed in range(5):
+        inst = tiny_tree(random_tree_pi(arities, seed))
+        verify_tree(inst, 2)
+        desc = json.loads(json.dumps(tree_descriptor(inst, seed, 2)))
+        back, d = tree_from_descriptor(desc)
+        assert back.pi == inst.pi and back.arities == arities and d == 2
+        with pytest.raises(InvariantError, match="does not match its seed"):
+            tree_from_descriptor(dict(desc, seed=seed + 1))
 
 
 def test_traverse_single_level():
