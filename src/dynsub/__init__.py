@@ -7,7 +7,6 @@ and a replay harness with per-round query accounting.
 
 from dynsub.oracle import (
     CountedOracle,
-    marginal,
     check_submodular_monotone,
     brute_force_opt,
     EnumerationBudgetError,
@@ -23,13 +22,11 @@ from dynsub.matroids import (
     UniformMatroid,
     PartitionMatroid,
     ConvexCombo,
-    matroid_rank,
     swap_round,
 )
 
 __all__ = [
     "CountedOracle",
-    "marginal",
     "check_submodular_monotone",
     "brute_force_opt",
     "EnumerationBudgetError",
@@ -44,7 +41,6 @@ __all__ = [
     "UniformMatroid",
     "PartitionMatroid",
     "ConvexCombo",
-    "matroid_rank",
     "swap_round",
 ]
 

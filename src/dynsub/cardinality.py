@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import math
 
-from dynsub.oracle import CountedOracle
+from dynsub.oracle import CountedOracle, InvariantError, best_of
 
 NEG_MARGINAL_TOL = 1e-9
-
-
-class OracleIntegrityError(RuntimeError):
-    """A marginal came back negative beyond tolerance (non-monotone oracle)."""
 
 
 class CardinalityState:
@@ -42,7 +38,6 @@ class CardinalityState:
         self.delta = epsilon * opt_guess / k
         self.n_buckets = int(1.0 / epsilon) + 1  # indices 0 .. floor(1/eps)
         self.buckets: list[set] = [set() for _ in range(self.n_buckets)]
-        self.S: list[int] = []
         self._in_S: set = set()
         self.f_of_S = 0.0
         self.charged = 0
@@ -54,7 +49,7 @@ class CardinalityState:
         self.charged += 2
         m = self.oracle.eval(self._in_S | {e}) - self.f_of_S
         if m < -NEG_MARGINAL_TOL:
-            raise OracleIntegrityError(f"negative marginal {m} for element {e}")
+            raise InvariantError(f"negative marginal {m} for element {e}")
         return m
 
     def _bucket_index(self, m: float, cap: int | None = None) -> int:
@@ -67,7 +62,6 @@ class CardinalityState:
         return max(ell, 0)
 
     def _accept(self, e, m: float) -> None:
-        self.S.append(e)
         self._in_S.add(e)
         self.f_of_S += m
 
@@ -80,14 +74,14 @@ class CardinalityState:
         self._seen.add(e)
         self.inserts += 1
         m = self._marginal(e)
-        if m >= self._threshold() and len(self.S) < self.k:
+        if m >= self._threshold() and len(self._in_S) < self.k:
             self._accept(e, m)
             self._revoke()
         else:
             self.buckets[self._bucket_index(m)].add(e)
 
     def _revoke(self) -> None:
-        while len(self.S) < self.k:
+        while len(self._in_S) < self.k:
             r = max(0, int((self.opt_guess - self.f_of_S) / (self.k * self.delta)))
             ell = next((i for i in range(self.n_buckets - 1, r - 1, -1)
                         if self.buckets[i]), None)
@@ -119,13 +113,11 @@ class GuessLadder:
     """Target-free wrapper: a moving window of fixed-target engines with
     targets (1+eps)^i, answer taken from the best engine."""
 
-    def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
-                 window_length: int | None = None):
+    def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
         self.oracle = oracle
         self.k = k
         self.epsilon = epsilon
-        self.window_length = (default_window_length(k, epsilon)
-                              if window_length is None else window_length)
+        self.window_length = default_window_length(k, epsilon)
         self.threads: dict[int, CardinalityState] = {}
         self.v_max = 0.0
         self.i_t: int | None = None
@@ -147,11 +139,5 @@ class GuessLadder:
 
     def solution(self) -> frozenset:
         """Best thread solution; re-evaluated through the counted oracle."""
-        best = frozenset()
-        best_val = 0.0
-        for i in sorted(self.threads):
-            S = self.threads[i].solution()
-            v = self.oracle.eval(S)
-            if v > best_val + 1e-15:
-                best, best_val = S, v
-        return best
+        return best_of(self.oracle, (self.threads[i].solution()
+                                     for i in sorted(self.threads)))

@@ -11,11 +11,11 @@ import sys
 from dataclasses import fields
 
 from dynsub import hard_bipartite, hard_tree
-from dynsub.harness import (OPT_MODES, RunConfig, UnsupportedOpError,
-                            emit_report, parse_config, run_stream)
+from dynsub.harness import (OPT_MODES, RunConfig, emit_report, parse_config,
+                            run_stream)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import CoverageFunction, random_coverage
-from dynsub.oracle import EnumerationBudgetError, InvariantError
+from dynsub.oracle import InvariantError
 from dynsub.streams import Stream
 
 USAGE_ERROR = 1
@@ -142,7 +142,6 @@ def _add_run_flags(p):
     p.add_argument("--opt-mode", dest="opt_mode", choices=OPT_MODES)
     p.add_argument("--mode", choices=["guided", "exhaustive"])
     p.add_argument("--checkpoint")
-    p.add_argument("--window", type=int)
     p.add_argument("--seed", type=int)
 
 
@@ -217,8 +216,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
-    except (ValueError, OSError, EnumerationBudgetError,
-            UnsupportedOpError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

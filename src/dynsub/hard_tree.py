@@ -250,9 +250,7 @@ def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:
     depth L-1 the single leaf child is inserted then deleted."""
     if d < 1 or any(d > m for m in inst.arities[:-1]):
         raise ValueError("d must be between 1 and the minimum arity")
-    total = sum(d ** ell * inst.arities[ell] * 2 * inst.w
-                for ell in range(inst.L - 1))
-    total += d ** (inst.L - 1) * 2 * inst.w
+    total = _stream_length(inst.arities, d, inst.w)
     if total > MAX_STREAM_OPS:
         raise ValueError(f"stream length {total} exceeds cap {MAX_STREAM_OPS}")
     ops: list[StreamOp] = []
@@ -277,6 +275,14 @@ def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:
     visit(())
     assert len(ops) == total
     return Stream(ops)
+
+
+def _stream_length(arities, d: int, w):
+    """Length of the traverse stream over a tree with these arities,
+    `d` children visited per internal node and w elements per node."""
+    L = len(arities)
+    return (sum(d ** ell * arities[ell] * 2 * w for ell in range(L - 1))
+            + d ** (L - 1) * 2 * w)
 
 
 def traverse_leaves(inst: ShuffledTreeInstance, d: int) -> list:
@@ -314,9 +320,7 @@ def asymptotic_arities(n: int, k: int, eps: float):
     if abs(d - round(d)) > 1e-6:
         raise ValueError(f"d = {d} not an integer")
     d = int(round(d))
-    w = eps * k
-    total = sum(d ** ell * arities[ell] * 2 * w for ell in range(L - 1))
-    total += d ** (L - 1) * 2 * w
+    total = _stream_length(arities, d, eps * k)
     if total > n:
         raise ValueError(f"stream length {total} exceeds n = {n}")
     return tuple(arities), d

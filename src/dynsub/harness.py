@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 from dynsub.cardinality import CardinalityState, GuessLadder
 from dynsub.matroid_dynamic import BranchParams, MatroidHalf
@@ -18,7 +19,7 @@ from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
 from dynsub.streams import Stream
 
 
-class UnsupportedOpError(RuntimeError):
+class UnsupportedOpError(ValueError):
     pass
 
 
@@ -47,13 +48,17 @@ class RunConfig:
     epsilon: float
     opt_mode: str = "brute-force"  # one of OPT_MODES
     opt_value: float | None = None
-    brute_budget: int = 10 ** 6
     checkpoint: str = "every-round"  # every-round | every-n:<n> | at-end
     mode: str = "guided"  # matroid-half: guided | exhaustive
-    window: int | None = None
     seed: int = 0
 
+    brute_budget: ClassVar[int] = 10 ** 6  # most sets a brute-force probe walks
+
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.opt_mode not in OPT_MODES:
             raise ValueError(f"bad opt_mode {self.opt_mode!r}")
         if self.opt_mode == "known" and self.opt_value is None:
@@ -147,7 +152,7 @@ def _card(cfg: RunConfig, oracle: CountedOracle, matroid):
 
 
 def _card_ladder(cfg: RunConfig, oracle: CountedOracle, matroid):
-    return GuessLadder(oracle, cfg.k, cfg.epsilon, window_length=cfg.window)
+    return GuessLadder(oracle, cfg.k, cfg.epsilon)
 
 
 def _matroid_half(cfg: RunConfig, oracle: CountedOracle, matroid):

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import multilinear_exact, plus_direction
 from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
-                           InvariantError, brute_force_opt)
+                           InvariantError, best_of, brute_force_opt)
+
+BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
 
 
 @dataclass(frozen=True)
@@ -44,30 +46,24 @@ class BranchParams:
         return cls(L=L, R=R, delta=epsilon ** 2 * opt / lg, opt=opt,
                    epsilon=epsilon)
 
-    @classmethod
-    def override(cls, L: int, R: int, epsilon: float, opt: float) -> "BranchParams":
-        # delta = 2*opt/R keeps every certified branch inside the tuple
-        # space: the pruned level values always sum to < 2*opt
-        if L < 1 or R < 1:
-            raise ValueError("L and R must be >= 1")
-        return cls(L=L, R=R, delta=2.0 * opt / R, opt=opt, epsilon=epsilon)
-
     def threshold(self, level: int) -> float:
         # level is 1-based; level 1 demands the full per-element target
         return (1.0 + self.epsilon) ** (-(level - 1)) * self.opt
 
 
 def branch_count(L: int, R: int) -> int:
-    return sum(math.comb(d + L - 1, L - 1) for d in range(R + 1))
+    """Number of L-tuples of non-negative integers summing to at most R."""
+    return math.comb(R + L, L)
 
 
-def enumerate_branches(L: int, R: int, budget: int = 10 ** 6):
+def enumerate_branches(L: int, R: int):
     """Lexicographic stream of all L-tuples of non-negative integers
     summing to at most R."""
     total = branch_count(L, R)
-    if total > budget:
+    if total > BRANCH_BUDGET:
         raise EnumerationBudgetError(
-            f"{total} branch tuples exceed budget {budget}; use guided mode")
+            f"{total} branch tuples exceed budget {BRANCH_BUDGET}; "
+            "use guided mode")
 
     def rec(prefix, remaining, slots):
         if slots == 0:
@@ -100,7 +96,6 @@ class PruneGreedyState:
         self.a = a
         self.c = [v * params.delta for v in a]
         self.ell = next((i + 1 for i, b in enumerate(self.c) if b > 0.0), None)
-        self.S: list[int] = []
         self._in_S: set = set()
         self.h_of_S = 0.0
         self.history: list[int] = []
@@ -121,7 +116,6 @@ class PruneGreedyState:
         m = self._marginal(e)
         if m < self.params.threshold(self.ell):
             return False
-        self.S.append(e)
         self._in_S.add(e)
         self.h_of_S += m
         self.c[self.ell - 1] -= m
@@ -269,13 +263,7 @@ class MatroidHalf:
                                   self.params)
             return run_prune_greedy(self.history, self.oracle, self.M,
                                     self.params, ref.a_star).solution()
-        best_S, best_v = frozenset(), 0.0
-        for st in self.states:
-            S = st.solution()
-            v = self.oracle.eval(S)
-            if v > best_v + 1e-15:
-                best_S, best_v = S, v
-        return best_S
+        return best_of(self.oracle, (st.solution() for st in self.states))
 
 
 @dataclass
@@ -304,9 +292,8 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
     greedy at a geometric guess of the residual optimum, then commits
     S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact).
     The offline optimum is brute-forced to pick each stage guess, and
-    each stage runs the pruned greedy at the branch tuple the reference
-    L-pass certifies, rather than enumerating the guess grid and the
-    branch tuples.
+    each stage runs guided MatroidHalf over the elements, rather than
+    enumerating the guess grid and the branch tuples.
     """
     elements = list(elements)
     ground = frozenset(elements)
@@ -338,10 +325,10 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
         if d_tau <= 0.0:
             stage_sets.append(frozenset())
             continue
-        params = BranchParams.standard(k, cfg.epsilon, d_tau)
-        ref = reference_lpass(elements, g, M, params)
-        state = run_prune_greedy(elements, g, M, params, ref.a_star)
-        S_tau = state.solution()
+        half = MatroidHalf(g, M, BranchParams.standard(k, cfg.epsilon, d_tau))
+        for e in elements:
+            half.insert(e)
+        S_tau = half.solution()
         stage_sets.append(S_tau)
         x = plus_direction(x, S_tau, 1.0 / m) if S_tau else x
 

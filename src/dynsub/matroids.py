@@ -1,4 +1,4 @@
-"""Matroids with counted independence queries, rank, and swap rounding."""
+"""Matroids with counted independence queries and swap rounding."""
 
 from __future__ import annotations
 
@@ -90,15 +90,6 @@ class PartitionMatroid(_BaseMatroid):
                 else:
                     raise ValueError(f"bad line: {line!r}")
         return cls(blocks, caps)
-
-
-def matroid_rank(M, ground=None) -> int:
-    """Rank by greedy augmentation in ascending id order."""
-    S: set = set()
-    for e in sorted(M.ground if ground is None else ground):
-        if M.is_independent(S | {e}):
-            S.add(e)
-    return len(S)
 
 
 @dataclass

@@ -88,7 +88,7 @@ class CoverageFunction:
                 if not tok:
                     continue
                 if tok[0] == "e":
-                    if tok[2] != ":":
+                    if len(tok) < 3 or tok[2] != ":":
                         raise ValueError(f"bad element line: {line!r}")
                     eid = int(tok[1])
                     covers[eid] = set(tok[3:])
@@ -96,7 +96,7 @@ class CoverageFunction:
                         if it not in weights:
                             weights[it] = 1.0
                             items_seen.append(it)
-                elif tok[0] == "w":
+                elif tok[0] == "w" and len(tok) == 3:
                     item, w = tok[1], float(tok[2])
                     if item not in weights:
                         items_seen.append(item)

@@ -1,4 +1,4 @@
-"""Counted set-function oracles, marginals, property samplers, brute force.
+"""Counted set-function oracles, property samplers, brute force.
 
 Every algorithm in this package sees its objective only through a
 CountedOracle, so query budgets can be audited after the fact.  A
@@ -18,7 +18,7 @@ class DomainError(ValueError):
     """A queried set contains elements outside the oracle's ground set."""
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     """Exact enumeration would exceed the configured budget."""
 
 
@@ -52,17 +52,15 @@ class CountedOracle:
         return float(self._inner(S)) - self._offset
 
 
-def marginal(oracle: CountedOracle, S, T, cached_base: float | None = None) -> float:
-    """Marginal gain of T on top of S: eval(S | T) - eval(S).
-
-    Costs 2 counted queries, or 1 when the caller supplies eval(S).
-    """
-    S = frozenset(S)
-    T = frozenset(T)
-    if not T:
-        return 0.0
-    base = oracle.eval(S) if cached_base is None else cached_base
-    return oracle.eval(S | T) - base
+def best_of(oracle: CountedOracle, sets) -> frozenset:
+    """The first of `sets` whose counted value beats every earlier one
+    by more than 1e-15; the empty set when none is positive."""
+    best, best_val = frozenset(), 0.0
+    for S in sets:
+        v = oracle.eval(S)
+        if v > best_val + 1e-15:
+            best, best_val = S, v
+    return best
 
 
 @dataclass
@@ -123,26 +121,29 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
         raise ValueError("specify exactly one of k / matroid")
     ground = sorted(oracle.ground if ground is None else ground)
 
-    best_val = 0.0
-    best_set = frozenset()
-    best_key = ()
-
     if k is not None:
         if k < 0:
             raise ValueError("k must be >= 0")
         if _n_choose_upto(len(ground), k) > budget:
             raise EnumerationBudgetError(
                 f"C({len(ground)},<= {k}) exceeds budget {budget}")
-        candidates = itertools.chain.from_iterable(
-            itertools.combinations(ground, j) for j in range(min(k, len(ground)) + 1))
-        for tup in candidates:
-            v = oracle.eval(frozenset(tup))
-            if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and tup < best_key):
-                best_val, best_set, best_key = v, frozenset(tup), tup
-        return best_set, best_val
+        walk = ((frozenset(tup), tup) for tup in itertools.chain.from_iterable(
+            itertools.combinations(ground, j)
+            for j in range(min(k, len(ground)) + 1)))
+    else:
+        walk = _independent_sets(matroid, ground, budget)
+    best_val, best_set, best_key = 0.0, frozenset(), ()
+    for S, tup in walk:
+        v = oracle.eval(S)
+        if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and tup < best_key):
+            best_val, best_set, best_key = v, S, tup
+    return best_set, best_val
 
-    # Matroid: DFS over elements in id order, pruning dependent prefixes.
-    # Downward closure makes the pruning exact.
+
+def _independent_sets(matroid, ground: list, budget: int):
+    """(S, sorted id tuple of S) for each independent subset of `ground`:
+    a DFS over elements in id order that prunes dependent prefixes,
+    which downward closure makes exact."""
     explored = 0
     stack = [(frozenset(), 0)]
     while stack:
@@ -150,12 +151,8 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
         explored += 1
         if explored > budget:
             raise EnumerationBudgetError(f"independent-set walk exceeds budget {budget}")
-        v = oracle.eval(S)
-        tup = tuple(sorted(S))
-        if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and tup < best_key):
-            best_val, best_set, best_key = v, S, tup
+        yield S, tuple(sorted(S))
         for i in range(len(ground) - 1, start - 1, -1):
             cand = S | {ground[i]}
             if matroid.is_independent(cand):
                 stack.append((cand, i + 1))
-    return best_set, best_val

@@ -177,7 +177,9 @@ def test_criterion_5_half_guarantee():
         guided = half_values(order, M, oracle, params, "guided")
         worst = min(worst, guided[-1] / opt)
         if seed < 10:
-            small = BranchParams.override(2, 3, eps, opt)
+            # delta = 2*opt/R keeps the certified tuple inside the space
+            small = BranchParams(L=2, R=3, delta=2 * opt / 3, opt=opt,
+                                 epsilon=eps)
             g = half_values(order, M, oracle, small, "guided")
             x = half_values(order, M, oracle, small, "exhaustive")
             dominated &= all(ve >= vg - 1e-12 for vg, ve in zip(g, x))

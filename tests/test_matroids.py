@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from dynsub.matroids import (ConvexCombo, PartitionMatroid, UniformMatroid,
-                             matroid_rank, swap_round)
+                             swap_round)
 from dynsub.objectives import (ModularFunction, multilinear_exact,
                                random_coverage)
 
@@ -21,14 +21,6 @@ def test_partition_independence():
     M = PartitionMatroid({0: "x", 1: "x", 2: "y"}, {"x": 1, "y": 1})
     assert M.is_independent({0, 2})
     assert not M.is_independent({0, 1})
-
-
-def test_rank():
-    assert matroid_rank(UniformMatroid(3, range(10))) == 3
-    M = PartitionMatroid({0: "x", 1: "x", 2: "y", 3: "y", 4: "y"},
-                         {"x": 1, "y": 2})
-    assert matroid_rank(M) == 3
-    assert matroid_rank(UniformMatroid(2, []), ground=[]) == 0
 
 
 def test_partition_file_round_trip(tmp_path):

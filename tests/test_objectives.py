@@ -32,6 +32,14 @@ def test_coverage_file_round_trip(tmp_path):
         assert f(S) == g(S)
 
 
+@pytest.mark.parametrize("line", ["e 0", "e 0 a", "w a", "w a 1 2", "x"])
+def test_coverage_load_rejects_malformed_line(tmp_path, line):
+    p = tmp_path / "cov.txt"
+    p.write_text(f"coverage 1 1\nw a 1.0\n{line}\n")
+    with pytest.raises(ValueError, match="bad"):
+        CoverageFunction.load(p)
+
+
 def _reference_value(f, S):
     """f(S) as a scan of the whole universe, in universe order."""
     hit = set()

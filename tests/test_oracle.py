@@ -1,7 +1,7 @@
 import pytest
 
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
-                           brute_force_opt, check_submodular_monotone, marginal)
+                           brute_force_opt, check_submodular_monotone)
 from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
 from dynsub.matroids import PartitionMatroid
 
@@ -24,16 +24,6 @@ def test_eval_domain_error():
     o = small_coverage().as_oracle()
     with pytest.raises(DomainError):
         o.eval({99})
-
-
-def test_marginal():
-    o = small_coverage().as_oracle()
-    assert marginal(o, {1}, set()) == 0.0
-    assert marginal(o, set(), {1}) == 2.0
-    assert marginal(o, {1}, {2}) == 1.0
-    before = o.count
-    marginal(o, {1}, {2}, cached_base=2.0)
-    assert o.count == before + 1  # cached base saves one eval
 
 
 def test_offset_normalization():

@@ -45,12 +45,12 @@ def test_branch_enumeration_counts():
 
 def test_branch_enumeration_budget():
     with pytest.raises(EnumerationBudgetError):
-        list(enumerate_branches(8, 40, budget=1000))
+        list(enumerate_branches(8, 40))
 
 
 def test_all_zero_branch_terminates_immediately():
     f = ModularFunction({0: 1.0})
-    params = BranchParams.override(2, 3, 0.5, opt=1.0)
+    params = BranchParams(L=2, R=3, delta=2 / 3, opt=1.0, epsilon=0.5)
     st = PruneGreedyState(f.as_oracle(), UniformMatroid(1, {0}), params,
                           (0, 0))
     st.insert(0)
@@ -59,7 +59,7 @@ def test_all_zero_branch_terminates_immediately():
 
 def test_single_level_modular_hand_trace():
     f = ModularFunction({0: 0.4, 1: 2.0, 2: 3.0})
-    params = BranchParams.override(1, 1, 0.5, opt=2.0)  # delta = 4.0
+    params = BranchParams(L=1, R=1, delta=4.0, opt=2.0, epsilon=0.5)
     st = PruneGreedyState(f.as_oracle(), UniformMatroid(1, {0, 1, 2}),
                           params, (1,))
     st.insert(0)  # below the level-1 threshold of 2.0
@@ -70,7 +70,7 @@ def test_single_level_modular_hand_trace():
 
 def test_reference_empty_prefix():
     f = ModularFunction({0: 1.0})
-    params = BranchParams.override(2, 3, 0.5, opt=1.0)
+    params = BranchParams(L=2, R=3, delta=2 / 3, opt=1.0, epsilon=0.5)
     res = reference_lpass([], f.as_oracle(), UniformMatroid(1, {0}),
                           params)
     assert res.T == frozenset() and res.a_star == (0, 0)
@@ -137,7 +137,8 @@ def test_budget_semantics_and_feasibility():
         _, opt = brute_force_opt(f.as_oracle(), matroid=M)
         if opt <= 0:
             continue
-        params = BranchParams.override(2, 3, 0.33, opt)
+        params = BranchParams(L=2, R=3, delta=2 * opt / 3, opt=opt,
+                              epsilon=0.33)
         for a in enumerate_branches(2, 3):
             st = run_prune_greedy(order, oracle, M, params, a)
             st.check_budget_semantics()
@@ -166,7 +167,10 @@ def test_guided_never_beats_exhaustive():
         _, opt = brute_force_opt(f.as_oracle(), matroid=M)
         if opt <= 0:
             continue
-        params = BranchParams.override(2, 3, 0.33, opt)
+        # delta = 2*opt/R: the pruned level values sum to < 2*opt, so the
+        # certified branch tuple stays inside the tuple space
+        params = BranchParams(L=2, R=3, delta=2 * opt / 3, opt=opt,
+                              epsilon=0.33)
         guided = MatroidHalf(oracle, M, params, mode="guided")
         exhaustive = MatroidHalf(oracle, M, params, mode="exhaustive")
         for e in order:
