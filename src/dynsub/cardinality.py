@@ -29,8 +29,9 @@ class CardinalityState:
             raise ValueError("k must be >= 1")
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if opt_guess <= 0.0:
-            raise ValueError("opt_guess must be positive")
+        if not 0.0 < opt_guess < math.inf:
+            raise ValueError(f"opt_guess must be positive and finite, "
+                             f"got {opt_guess}")
         self.oracle = oracle
         self.k = k
         self.epsilon = epsilon
@@ -54,8 +55,9 @@ class CardinalityState:
 
     def _bucket_index(self, m: float, cap: int | None = None) -> int:
         ell = int(m / self.delta) if m > 0 else 0
-        # marginals at or above opt/k cannot be filed post-test; clamp is
-        # defensive against floating-point landing exactly on the edge
+        # while S has room a marginal of opt/k or more is accepted, so the
+        # clamp only bites on a float landing on the edge; once S is full
+        # the top level also takes marginals above its ceiling
         ell = min(ell, self.n_buckets - 1)
         if cap is not None:
             ell = min(ell, cap)

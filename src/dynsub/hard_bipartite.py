@@ -119,51 +119,34 @@ class BipartiteInstance:
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
         self.pi = {i + 1: perm[i] for i in range(m)}  # B-block i -> A-block pi(i)
-        # element ids: A side first, blocks in order, random coloring via
+        # element ids: side A first, blocks in order, random coloring via
         # a seeded shuffle of each block's slot list
         self.slot: dict[int, tuple[str, int, int]] = {}  # id -> (side, block, color)
-        self.A_ids: dict[tuple[int, int], list[int]] = {}
-        self.B_ids: dict[tuple[int, int], list[int]] = {}
+        self.ids: dict[tuple[str, int, int], list[int]] = {}  # slot -> ids
         nid = 0
-        for i in range(1, m + 1):
-            slots = [j for j in range(1, w + 1) for _ in range(self.a_class)]
-            rng.shuffle(slots)
-            for j in slots:
-                self.slot[nid] = ("A", i, j)
-                self.A_ids.setdefault((i, j), []).append(nid)
-                nid += 1
-        for i in range(1, m + 1):
-            slots = [j for j in range(1, w + 1) for _ in range(self.b_class)]
-            rng.shuffle(slots)
-            for j in slots:
-                self.slot[nid] = ("B", i, j)
-                self.B_ids.setdefault((i, j), []).append(nid)
-                nid += 1
+        for side, size in (("A", self.a_class), ("B", self.b_class)):
+            for i in range(1, m + 1):
+                slots = [j for j in range(1, w + 1) for _ in range(size)]
+                rng.shuffle(slots)
+                for j in slots:
+                    self.slot[nid] = (side, i, j)
+                    self.ids.setdefault((side, i, j), []).append(nid)
+                    nid += 1
         self.n = nid
         self.ground = frozenset(range(nid))
 
-    def a_block(self, i: int) -> list[int]:
-        return [e for j in range(1, self.w + 1) for e in self.A_ids[(i, j)]]
-
-    def b_block(self, i: int) -> list[int]:
-        return [e for j in range(1, self.w + 1) for e in self.B_ids[(i, j)]]
+    def block(self, side: str, i: int) -> list[int]:
+        return [e for j in range(1, self.w + 1) for e in self.ids[(side, i, j)]]
 
     def loads(self, S):
         """Per-block color-load vectors (y for side A, z for side B)."""
-        countA = {key: 0 for key in self.A_ids}
-        countB = {key: 0 for key in self.B_ids}
+        count = dict.fromkeys(self.ids, 0)
         for e in S:
-            side, i, j = self.slot[e]
-            if side == "A":
-                countA[(i, j)] += 1
-            else:
-                countB[(i, j)] += 1
-        ak = self.part_alpha * self.k
-        bk = (1.0 - self.part_alpha) * self.k
-        y = {i: [countA[(i, j)] / ak for j in range(1, self.w + 1)]
-             for i in range(1, self.m + 1)}
-        z = {i: [countB[(i, j)] / bk for j in range(1, self.w + 1)]
-             for i in range(1, self.m + 1)}
+            count[self.slot[e]] += 1
+        sizes = (("A", self.part_alpha * self.k),
+                 ("B", (1.0 - self.part_alpha) * self.k))
+        y, z = ({i: [count[(side, i, j)] / size for j in range(1, self.w + 1)]
+                 for i in range(1, self.m + 1)} for side, size in sizes)
         return y, z
 
 
@@ -224,13 +207,8 @@ def symmetric_eval(inst: BipartiteInstance, S, pi=None) -> float:
 
 
 def is_balanced(inst: BipartiteInstance, S) -> bool:
-    y, z = inst.loads(S)
-    for i in range(1, inst.m + 1):
-        if max(y[i]) - min(y[i]) > inst.gamma:
-            return False
-        if max(z[i]) - min(z[i]) > inst.gamma:
-            return False
-    return True
+    return all(max(v) - min(v) <= inst.gamma
+               for side in inst.loads(S) for v in side.values())
 
 
 def analytic_F(part_alpha: float, beta: float, lam: float) -> float:
@@ -242,38 +220,25 @@ def analytic_F(part_alpha: float, beta: float, lam: float) -> float:
 
 
 def analytic_Q(part_alpha: float, beta: float) -> float:
-    """max over lambda in (0,1), coarse grid then golden-section."""
-    best_lam, best = 0.0, -1.0
-    n = 10_000
-    for s in range(1, n):
-        lam = s / n
-        v = analytic_F(part_alpha, beta, lam)
-        if v > best:
-            best, best_lam = v, lam
-    lo, hi = max(best_lam - 1.0 / n, 0.0), min(best_lam + 1.0 / n, 1.0)
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = analytic_F(part_alpha, beta, c), analytic_F(part_alpha, beta, d)
-    while b - a > 1e-8:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = analytic_F(part_alpha, beta, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = analytic_F(part_alpha, beta, d)
-    return max(best, fc, fd)
+    """max of analytic_F over lambda in [0, 1], in closed form.
+
+    With a = beta/alpha and c = 1/(1-alpha),
+    F = 1 - beta e^{a(lam-1)} - (1-beta) e^{a(lam-1) - c lam} is a sum of
+    concave terms, so its maximizer is the stationary point
+    ln((1-beta)(c-a)/(beta a))/c clamped to [0, 1] (0 when c <= a).
+    """
+    a, c = beta / part_alpha, 1.0 / (1.0 - part_alpha)
+    ratio = (1.0 - beta) * (c - a) / (beta * a)
+    lam = min(max(math.log(ratio) / c, 0.0), 1.0) if ratio > 0 else 0.0
+    return analytic_F(part_alpha, beta, lam)
 
 
 def bipartite_stream(inst: BipartiteInstance) -> Stream:
     """All of side A up front, then per B-block: insert it, delete it."""
     ops = [StreamOp(INSERT, e) for i in range(1, inst.m + 1)
-           for e in inst.a_block(i)]
+           for e in inst.block("A", i)]
     for i in range(1, inst.m + 1):
-        blk = inst.b_block(i)
+        blk = inst.block("B", i)
         ops.extend(StreamOp(INSERT, e) for e in blk)
         ops.extend(StreamOp(DELETE, e) for e in blk)
     return Stream(ops)
@@ -332,7 +297,7 @@ def verify_bipartite(inst: BipartiteInstance) -> None:
                 raise InvariantError(f"factorized value {a} != mixture sum {b}")
     for i in range(1, inst.m + 1):
         j = rng.randint(1, inst.w)
-        S = frozenset(inst.A_ids[(inst.pi[i], j)] + inst.B_ids[(i, j)])
+        S = frozenset(inst.ids[("A", inst.pi[i], j)] + inst.ids[("B", i, j)])
         if bipartite_eval(inst, S) < 1.0 - inst.eps - 1e-9:
             raise InvariantError(f"paired color class {i},{j} undervalued")
     stream = bipartite_stream(inst)

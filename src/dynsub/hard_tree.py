@@ -37,16 +37,11 @@ def weight_sequence(L: int) -> dict:
     for ell in range(L - 1, 0, -1):
         nxt = delta[ell + 1]
         delta[ell] = 1.0 + (1.0 + math.sqrt(1.0 + 4.0 / nxt)) / 2.0 * nxt
-    a = [0.0] * (L + 1)
-    for ell in range(1, L + 1):
-        prod = 1.0
-        for i in range(1, ell):
-            prod *= 1.0 / (1.0 - 1.0 / delta[i])
-        a[ell] = prod
+    a = [0.0, 1.0] + [0.0] * (L - 1)
+    for ell in range(2, L + 1):
+        a[ell] = a[ell - 1] * (1.0 / (1.0 - 1.0 / delta[ell - 1]))
     total = math.fsum(a[1:])
-    w = [0.0] * (L + 1)
-    for ell in range(1, L + 1):
-        w[ell] = a[ell] / total
+    w = [0.0] + [x / total for x in a[1:]]
     A_geq = [0.0] * (L + 2)
     for ell in range(L, 0, -1):
         A_geq[ell] = A_geq[ell + 1] + a[ell]
@@ -108,31 +103,36 @@ class ShuffledTreeInstance:
         if n_nodes > self.MAX_NODES:
             raise ValueError(f"{n_nodes} nodes exceed cap {self.MAX_NODES}")
         self.tab = weight_sequence(self.L)
-        # pi: parent node tuple -> {child index -> permuted index}; missing
-        # entries are identity
-        self.pi = {u: dict(b) for u, b in (pi or {}).items()}
-        self._pi_inv = {u: {v: i for i, v in b.items()}
-                        for u, b in self.pi.items()}
-        # an entry maps the children of u onto themselves, one to one
-        kids = [set(range(1, m + 1)) for m in arities] + [set()]
-        for u, b in self.pi.items():
-            want = kids[min(len(u), self.L)]
-            if not b.keys() == self._pi_inv[u].keys() == want:
-                raise ValueError(f"pi at node {u} is not a permutation "
-                                 f"of its children")
-        # element ids assigned in BFS node order
+        # pi: internal node -> {child index -> permuted index}, the identity
+        # where the caller gives no entry; element ids go in BFS node order
+        given = pi or {}
+        self.pi: dict = {}
+        self._pi_inv: dict = {}
         self.base_id: dict = {}
         nid = 0
         frontier = [()]
         for m in arities:
+            kids = range(1, m + 1)
+            want = set(kids)
             nxt = []
             for u in frontier:
-                for i in range(1, m + 1):
+                b = dict(given[u]) if u in given else dict(zip(kids, kids))
+                inv = {v: i for i, v in b.items()}
+                # the entry maps the children of u onto themselves, one to one
+                if not b.keys() == inv.keys() == want:
+                    raise ValueError(f"pi at node {u} is not a permutation "
+                                     f"of its children")
+                self.pi[u], self._pi_inv[u] = b, inv
+                for i in kids:
                     v = u + (i,)
                     self.base_id[v] = nid
                     nid += self.w
                     nxt.append(v)
             frontier = nxt
+        unknown = given.keys() - self.pi.keys()
+        if unknown:
+            raise ValueError(f"pi names {unknown.pop()!r}, which is not an "
+                             f"internal node")
         self.leaves = frontier
         self.n = nid
         self.ground = frozenset(range(nid))
@@ -146,22 +146,16 @@ class ShuffledTreeInstance:
     def node_of_element(self, e: int):
         return self._node_by_base[e - e % self.w]
 
-    def pi_map(self, u, i: int) -> int:
-        return self.pi.get(u, {}).get(i, i)
-
-    def pi_inv_map(self, u, i: int) -> int:
-        return self._pi_inv.get(u, {}).get(i, i)
-
     def shuffle_node(self, v):
         """pi(v): last coordinate permuted by the parent's bijection."""
         if not v:
             return v
-        return v[:-1] + (self.pi_map(v[:-1], v[-1]),)
+        return v[:-1] + (self.pi[v[:-1]][v[-1]],)
 
     def shuffle_node_inv(self, v):
         if not v:
             return v
-        return v[:-1] + (self.pi_inv_map(v[:-1], v[-1]),)
+        return v[:-1] + (self._pi_inv[v[:-1]][v[-1]],)
 
     def shuffled_path_sets(self, leaf) -> list:
         """Nodes whose A-sets map onto the root path under rho_pi."""
@@ -246,8 +240,7 @@ def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
 
 def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:
     """Limited-DFS stream: at each internal node insert all children's
-    A-sets, recurse into the first d children, then delete them; at
-    depth L-1 the single leaf child is inserted then deleted."""
+    A-sets, recurse into the first d of them, then delete them all."""
     if d < 1 or any(d > m for m in inst.arities[:-1]):
         raise ValueError("d must be between 1 and the minimum arity")
     total = _stream_length(inst.arities, d, inst.w)
@@ -256,21 +249,14 @@ def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:
     ops: list[StreamOp] = []
 
     def visit(u):
-        depth = len(u)
-        if depth <= inst.L - 2:
-            m = inst.arities[depth]
-            for i in range(1, m + 1):
-                ops.extend(StreamOp(INSERT, e)
-                           for e in inst.elements_of(u + (i,)))
-            for i in range(1, d + 1):
-                visit(u + (i,))
-            for i in range(1, m + 1):
-                ops.extend(StreamOp(DELETE, e)
-                           for e in inst.elements_of(u + (i,)))
-        else:  # depth L-1: the single leaf child
-            leaf = u + (1,)
-            ops.extend(StreamOp(INSERT, e) for e in inst.elements_of(leaf))
-            ops.extend(StreamOp(DELETE, e) for e in inst.elements_of(leaf))
+        if len(u) == inst.L:
+            return
+        m = inst.arities[len(u)]
+        below = [e for i in range(1, m + 1) for e in inst.elements_of(u + (i,))]
+        ops.extend(StreamOp(INSERT, e) for e in below)
+        for i in range(1, min(d, m) + 1):  # a depth L-1 node has one child
+            visit(u + (i,))
+        ops.extend(StreamOp(DELETE, e) for e in below)
 
     visit(())
     assert len(ops) == total
@@ -362,7 +348,7 @@ def tree_from_descriptor(desc: dict):
         raise ValueError("descriptor pi is malformed") from None
     inst = ShuffledTreeInstance(k=desc["k"], eps=desc["eps"],
                                 arities=desc["arities"], pi=pi)
-    if inst.pi != random_tree_pi(inst.arities, desc["seed"]):
+    if pi != random_tree_pi(inst.arities, desc["seed"]):
         raise InvariantError("descriptor pi does not match its seed")
     return inst, desc["d"]
 

@@ -55,10 +55,15 @@ class RunConfig:
     brute_budget: ClassVar[int] = 10 ** 6  # most sets a brute-force probe walks
 
     def __post_init__(self):
+        if self.algo not in _ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be > 0 and < 1, got {self.epsilon}")
+        if self.opt_value is not None and not 0.0 <= self.opt_value < math.inf:
+            raise ValueError(f"opt_value must be finite and >= 0, "
+                             f"got {self.opt_value}")
         if self.opt_mode not in OPT_MODES:
             raise ValueError(f"bad opt_mode {self.opt_mode!r}")
         if self.opt_mode == "known" and self.opt_value is None:
@@ -139,9 +144,12 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid):
             return v, False
         except EnumerationBudgetError:
             pass  # fall through to the greedy bound
-    _, g = offline_greedy(oracle, ground,
-                          k=None if matroid is not None else cfg.k,
-                          matroid=matroid)
+    # greedy is within 1-1/e of OPT under a cardinality constraint and
+    # within 1/2 under a matroid (Fisher, Nemhauser and Wolsey 1978)
+    if matroid is not None:
+        _, g = offline_greedy(oracle, ground, matroid=matroid)
+        return 2.0 * g, True
+    _, g = offline_greedy(oracle, ground, k=cfg.k)
     return g / (1.0 - 1.0 / math.e), True
 
 
@@ -180,8 +188,6 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     it, one for the algorithm and one for harness metric probes.
     Returns (records, meta) with meta carrying the echoed config.
     """
-    if cfg.algo not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algo!r}")
     if not stream.insertion_only:
         raise UnsupportedOpError(
             f"algorithm {cfg.algo} is insertion-only; the stream has deletions")

@@ -40,6 +40,10 @@ class BranchParams:
 
     @classmethod
     def standard(cls, k: int, epsilon: float, opt: float) -> "BranchParams":
+        if not (k >= 1 and 0.0 < epsilon < 1.0 and 0.0 < opt < math.inf):
+            raise ValueError(f"branch parameters need k >= 1, 0 < epsilon < 1 "
+                             f"and 0 < opt < inf, got k={k}, "
+                             f"epsilon={epsilon}, opt={opt}")
         lg = math.log(k / epsilon)
         L = math.ceil(lg / epsilon)
         R = math.ceil(2.0 * lg / epsilon ** 2)

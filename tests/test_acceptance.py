@@ -247,8 +247,8 @@ def test_criterion_7_bipartite_construction():
             notes.append(f"seed {seed}: nonzero at empty set")
         for i in range(1, inst.m + 1):
             for j in range(1, inst.w + 1):
-                S = frozenset(inst.A_ids[(inst.pi[i], j)]
-                              + inst.B_ids[(i, j)])
+                S = frozenset(inst.ids[("A", inst.pi[i], j)]
+                              + inst.ids[("B", i, j)])
                 if bipartite_eval(inst, S) < 1 - inst.eps - 1e-9:
                     ok = False
                     notes.append(f"seed {seed}: pair {i},{j} undervalued")

@@ -73,7 +73,7 @@ def test_value_structure():
     assert bipartite_eval(inst, frozenset()) == 0.0
     for i in range(1, 4):
         for j in range(1, 3):
-            S = frozenset(inst.A_ids[(inst.pi[i], j)] + inst.B_ids[(i, j)])
+            S = frozenset(inst.ids[("A", inst.pi[i], j)] + inst.ids[("B", i, j)])
             assert bipartite_eval(inst, S) >= 1 - inst.eps - 1e-9
     big = frozenset(sorted(inst.ground)[:math.ceil(inst.k / inst.eps)])
     assert bipartite_eval(inst, big) == 1.0
@@ -89,10 +89,10 @@ def test_balancedness():
     inst = BipartiteInstance(m=2, k=4, w=2, eps=0.33, seed=4)
     assert is_balanced(inst, frozenset())
     # one full color class of one A-block deviates by 1/(alpha k) > gamma
-    S = frozenset(inst.A_ids[(1, 1)])
+    S = frozenset(inst.ids[("A", 1, 1)])
     assert not is_balanced(inst, S)
     # equal counts per color stay balanced
-    S = frozenset(inst.A_ids[(1, 1)] + inst.A_ids[(1, 2)])
+    S = frozenset(inst.ids[("A", 1, 1)] + inst.ids[("A", 1, 2)])
     assert is_balanced(inst, S)
 
 
@@ -173,3 +173,20 @@ def test_indistinguishability_bit_identity():
             nontrivial += 1
         assert symmetric_eval(inst, S, pi=pi1) == symmetric_eval(inst, S, pi=pi2)
     assert nontrivial > 50
+
+
+def test_golden_layout_and_values():
+    # pinned outputs of the construction; a refactor must keep them exact
+    inst = BipartiteInstance(m=2, k=2, w=2, eps=0.33, seed=1)
+    assert inst.pi == {1: 2, 2: 1}
+    assert inst.slot == {0: ("A", 1, 2), 1: ("A", 1, 1), 2: ("A", 2, 1),
+                         3: ("A", 2, 2), 4: ("B", 1, 2), 5: ("B", 1, 1),
+                         6: ("B", 2, 1), 7: ("B", 2, 2)}
+    assert repr(bipartite_eval(inst, {0})) == "0.5281073185321948"
+    inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33, seed=7)
+    got = [repr(bipartite_eval(inst, S))
+           for S in ({0}, {0, 13}, {1, 5, 14, 20})]
+    assert got == ["0.2663005065609123", "0.555968055614106",
+                   "0.9874927696376887"]
+    assert repr(analytic_Q(0.56, 0.42)) == "0.5838904502091968"
+    assert repr(analytic_Q(0.5, 0.5)) == "0.6321205588285577"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
@@ -131,3 +133,36 @@ def test_ladder_per_round_ratio():
             _, opt_t = brute_force_opt(probe, ground=elems[:t], k=3)
             if opt_t > 0:
                 assert probe.eval(lad.solution()) >= target * opt_t - 1e-9
+
+
+@pytest.mark.parametrize("opt_guess", [0.0, -1.0, math.inf, math.nan])
+def test_opt_guess_must_be_positive_and_finite(opt_guess):
+    o = ModularFunction({0: 1.0}).as_oracle()
+    with pytest.raises(ValueError, match="opt_guess"):
+        CardinalityState(o, k=1, epsilon=0.5, opt_guess=opt_guess)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6), k=st.integers(1, 4),
+       epsilon=st.floats(0.05, 0.95), opt_guess=st.floats(0.1, 12.0),
+       data=st.data())
+def test_bucket_soundness_and_charged_ceiling(n, items, seed, k, epsilon,
+                                              opt_guess, data):
+    f = random_coverage(n, items, seed=seed, weighted=True)
+    order = data.draw(st.permutations(sorted(f.ground)))
+    probe = f.as_oracle()
+    eng = CardinalityState(f.as_oracle(), k, epsilon, opt_guess)
+    top = eng.n_buckets - 1
+    for e in order:
+        eng.insert(e)
+        assert eng.charged <= eng.charged_budget()
+        S = eng.solution()
+        base = probe.eval(S)
+        for ell, bucket in enumerate(eng.buckets):
+            # a full S is final, and an insert into it files any marginal
+            # at or above the top level's ceiling there
+            if len(S) == k and ell == top:
+                continue
+            for x in bucket:
+                assert probe.eval(S | {x}) - base < (ell + 1) * eng.delta + 1e-9

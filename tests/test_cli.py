@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ def test_verify_corrupted_descriptor(tmp_path, capsys):
     out = str(tmp_path / "bip.stream")
     main(["gen-stream", "--family", "bipartite", "--m", "2", "--k", "4",
           "--w", "2", "--eps", "0.33", "--out", out])
-    desc = json.loads(open(out + ".json").read())
+    desc = json.loads(Path(out + ".json").read_text())
     keys = sorted(desc["slots"])
     desc["slots"][keys[0]], desc["slots"][keys[1]] = \
         desc["slots"][keys[1]], desc["slots"][keys[0]]
@@ -42,7 +43,7 @@ def _tree_desc(tmp_path):
     out = str(tmp_path / "tree.stream")
     assert main(["gen-stream", "--family", "tree", "--k", "4",
                  "--eps", "0.5", "--arities", "2,1", "--out", out]) == 0
-    return json.loads(open(out + ".json").read())
+    return json.loads(Path(out + ".json").read_text())
 
 
 def _swap_root(pi):
@@ -55,6 +56,10 @@ def _swap_root(pi):
     (lambda d: dict(d, pi=dict(d["pi"], **{"[]": {"1": 1, "2": 1}})), 1,
      "not a permutation"),
     (lambda d: dict(d, pi=_swap_root(d["pi"])), 2, "does not match its seed"),
+    (lambda d: dict(d, pi=dict(d["pi"], **{"[1, 1]": {}})), 1,
+     "not an internal node"),
+    (lambda d: dict(d, pi=dict(d["pi"], **{"[3]": {"1": 1}})), 1,
+     "not an internal node"),
 ])
 def test_verify_malformed_tree_descriptor(tamper, code, needle, tmp_path,
                                           capsys):
@@ -71,7 +76,7 @@ def test_verify_mistyped_bipartite_field(tmp_path, capsys):
     out = str(tmp_path / "bip.stream")
     main(["gen-stream", "--family", "bipartite", "--m", "2", "--k", "4",
           "--w", "2", "--eps", "0.33", "--out", out])
-    desc = json.loads(open(out + ".json").read())
+    desc = json.loads(Path(out + ".json").read_text())
     with open(out + ".json", "w") as fh:
         json.dump(dict(desc, m="x"), fh)
     capsys.readouterr()
@@ -107,7 +112,7 @@ def test_run_config_file_with_cli_override(tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["run", "--config", str(cfg), "--epsilon", "0.25",
                  "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# epsilon = 0.25" in text
     capsys.readouterr()
 
@@ -125,6 +130,7 @@ def test_run_config_rejects_unknown_key(tmp_path, capsys):
 BENCH = ["bench", "--algo", "card-ladder", "--oracle", "random:6:5:0",
          "--k", "2", "--epsilon", "0.5"]
 RUN = ["run", "--algo", "card-ladder", "--oracle", "random:6:5:0"]
+HALF = ["run", "--algo", "matroid-half", "--oracle", "random:6:5:0"]
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -138,6 +144,23 @@ RUN = ["run", "--algo", "card-ladder", "--oracle", "random:6:5:0"]
     (RUN + ["--k", "0", "--epsilon", "0.5"], "k must be >= 1"),
     (RUN + ["--k", "2", "--epsilon", "0.5", "--window=-1"],
      "unrecognized arguments: --window=-1"),
+    (HALF + ["--matroid", "uniform:1", "--k", "1", "--epsilon", "1",
+             "--opt", "1"], "epsilon must be > 0"),
+    (HALF + ["--matroid", "uniform:1", "--k", "1", "--epsilon", "2",
+             "--opt", "1"], "epsilon must be > 0"),
+    (HALF + ["--matroid", "uniform:2", "--k", "2", "--epsilon", "0.5",
+             "--opt", "0"], "0 < opt < inf"),
+    (HALF + ["--matroid", "uniform:2", "--k", "2", "--epsilon", "0.5",
+             "--opt", "inf"], "opt_value must be finite"),
+    (HALF + ["--matroid", "uniform:2", "--k", "2", "--epsilon", "0.5",
+             "--opt", "nan"], "opt_value must be finite"),
+    (RUN + ["--k", "2", "--epsilon", "0.5", "--opt-mode", "known",
+            "--opt", "-1"], "opt_value must be finite and >= 0"),
+    (RUN + ["--k", "2", "--epsilon", "nan"], "epsilon must be > 0"),
+    (BENCH + ["--sweep", "k=2,0"], "k must be >= 1"),
+    (BENCH + ["--sweep", "algo=card-ladder,bogus"], "unknown algorithm"),
+    (BENCH + ["--sweep", "checkpoint=at-end,every-n:0"], "n >= 1"),
+    (BENCH + ["--sweep", "oracle=random:6:5:0,no-such-file"], "no-such-file"),
 ])
 def test_bad_run_parameters_exit_1(argv, needle, capsys):
     # refused before any run starts
@@ -205,7 +228,7 @@ def test_run_rejects_stream_with_deletes(tmp_path, capsys):
     out = str(tmp_path / "bip.stream")
     assert main(["gen-stream", "--family", "bipartite", "--m", "2",
                  "--k", "4", "--w", "2", "--eps", "0.5", "--out", out]) == 0
-    n = len(json.loads(open(out + ".json").read())["slots"])
+    n = len(json.loads(Path(out + ".json").read_text())["slots"])
     capsys.readouterr()
     assert main(["run", "--algo", "card-ladder", "--oracle",
                  f"random:{n}:10:0", "--opt-mode", "greedy-bound",

@@ -5,7 +5,8 @@ import pytest
 from dynsub.harness import (RoundRecord, RunConfig, UnsupportedOpError,
                             emit_report, load_report_json, offline_greedy,
                             parse_config, run_stream)
-from dynsub.objectives import ModularFunction, random_coverage
+from dynsub.matroids import PartitionMatroid
+from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
 from dynsub.streams import DELETE, INSERT, Stream, StreamOp
 
 
@@ -179,3 +180,18 @@ def test_matroid_half_exhaustive_dominates_guided():
                     mode="fast")
     with pytest.raises(ValueError, match="bad mode 'fast'"):
         run_stream(cfg, f, stream, matroid=M)
+
+
+def test_greedy_bound_under_a_matroid_is_certified():
+    # greedy takes element 0 (value 2.0) and then nothing else fits, while
+    # OPT = {1, 2} = 3.99; g/(1-1/e) = 3.164 would understate it
+    f = CoverageFunction([("p", 1.0), ("q", 1.0), ("r", 1.99)],
+                         {0: {"p", "q"}, 1: {"r"}, 2: {"p", "q"}})
+    M = PartitionMatroid({0: 0, 1: 0, 2: 1}, {0: 1, 1: 1})
+    cfg = RunConfig(algo="matroid-half", k=2, epsilon=0.25, opt_value=3.99,
+                    opt_mode="greedy-bound")
+    records, _ = run_stream(cfg, f, Stream.inserts([1, 2, 0]), matroid=M)
+    # the true optimum of each prefix: {1}, then {1, 2} from t = 2 on
+    assert [r.t for r in records] == [1, 2, 3]
+    assert all(r.opt >= opt and r.ratio <= 1.0
+               for r, opt in zip(records, (1.99, 3.99, 3.99)))

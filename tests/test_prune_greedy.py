@@ -188,3 +188,11 @@ def test_single_element_stream_uniform_one():
     half = MatroidHalf(f.as_oracle(), M, params, mode="guided")
     half.insert(0)
     assert half.solution() == {0}  # f(e) >= opt/2, so it must be held
+
+
+@pytest.mark.parametrize("k, eps, opt", [
+    (1, 1.0, 1.0), (2, 2.0, 1.0), (0, 0.5, 1.0), (2, 0.0, 1.0),
+    (2, math.nan, 1.0), (2, 0.5, 0.0), (2, 0.5, math.inf), (2, 0.5, math.nan)])
+def test_standard_params_refuse_out_of_range(k, eps, opt):
+    with pytest.raises(ValueError, match="branch parameters need"):
+        BranchParams.standard(k, eps, opt)

@@ -206,3 +206,20 @@ def test_asymptotic_preset_validation():
     assert arities[0] == 2 ** 20 // (2 * 2 ** 4)
     with pytest.raises(ValueError):
         asymptotic_arities(n=1000, k=3, eps=0.25)
+
+
+def test_golden_stream_weights_and_values():
+    # pinned outputs of the construction; a refactor must keep them exact
+    inst = ShuffledTreeInstance(k=4, eps=0.5, arities=(2, 1),
+                                pi=random_tree_pi((2, 1), 1))
+    assert inst.pi[()] == {1: 2, 2: 1}
+    ops = " ".join(f"{op.kind}{op.element}" for op in traverse_stream(inst, 2))
+    assert ops == "I0 I1 I2 I3 I4 I5 D4 D5 I6 I7 D6 D7 D0 D1 D2 D3"
+    assert [repr(x) for x in weight_sequence(4)["a"]] == [
+        "0.0", "1.0", "1.1912142245602164", "1.5425782259138918",
+        "2.4959439998341906"]
+    inst = tiny_tree(pi=random_tree_pi((3, 2, 1), seed=4))
+    got = [repr(tree_F_eval(inst, S))
+           for S in ({0}, {0, 3, 9}, {2, 5, 20, 33})]
+    assert got == ["0.11296273844849741", "0.34115538361865055",
+                   "0.5133812755098358"]
