@@ -19,8 +19,10 @@ class CardinalityState:
     """Fixed-target engine: maintains S with f(S) >= (1-1/e-eps)*target
     once the stream's true optimum reaches the target.
 
-    Query accounting uses the two-per-marginal charging convention;
-    `charged` never exceeds 2*(floor(1/eps)+2) per inserted element.
+    Once |S| = k, S is final: a later insert is counted but makes no
+    query and files nothing.  Query accounting uses the two-per-marginal
+    charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
+    inserted element.
     """
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
@@ -55,9 +57,8 @@ class CardinalityState:
 
     def _bucket_index(self, m: float, cap: int | None = None) -> int:
         ell = int(m / self.delta) if m > 0 else 0
-        # while S has room a marginal of opt/k or more is accepted, so the
-        # clamp only bites on a float landing on the edge; once S is full
-        # the top level also takes marginals above its ceiling
+        # a marginal of opt/k or more is accepted, and a full S files
+        # nothing, so the clamp only bites on a float landing on the edge
         ell = min(ell, self.n_buckets - 1)
         if cap is not None:
             ell = min(ell, cap)
@@ -75,8 +76,10 @@ class CardinalityState:
             raise ValueError(f"duplicate insert of {e}")
         self._seen.add(e)
         self.inserts += 1
+        if len(self._in_S) >= self.k:  # a full S is final
+            return
         m = self._marginal(e)
-        if m >= self._threshold() and len(self._in_S) < self.k:
+        if m >= self._threshold():
             self._accept(e, m)
             self._revoke()
         else:

@@ -65,6 +65,7 @@ def _load_run(args):
     if unknown:
         raise ValueError(f"stream ids not in the oracle's ground set: "
                          f"{sorted(unknown)}")
+    cfg.check_stream(stream)
     return cfg, inner, stream, _load_matroid(args.matroid, stream.elements())
 
 

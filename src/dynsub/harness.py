@@ -69,6 +69,12 @@ class RunConfig:
         if self.opt_mode == "known" and self.opt_value is None:
             raise ValueError("opt_mode known needs opt_value")
 
+    def check_stream(self, stream: Stream) -> None:
+        """Refuses a stream the algorithm cannot replay."""
+        if not stream.insertion_only:
+            raise UnsupportedOpError(f"algorithm {self.algo} is "
+                                     f"insertion-only; the stream has deletions")
+
     def checkpoint_rounds(self, n_ops: int):
         if self.checkpoint == "every-round":
             return set(range(1, n_ops + 1))
@@ -188,9 +194,7 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     it, one for the algorithm and one for harness metric probes.
     Returns (records, meta) with meta carrying the echoed config.
     """
-    if not stream.insertion_only:
-        raise UnsupportedOpError(
-            f"algorithm {cfg.algo} is insertion-only; the stream has deletions")
+    cfg.check_stream(stream)
     ground_all = stream.elements()
     algo_oracle = CountedOracle(inner, ground_all)
     probe_oracle = CountedOracle(inner, ground_all)

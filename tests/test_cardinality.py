@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsub import cardinality
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
 from dynsub.objectives import ModularFunction, random_coverage
@@ -17,10 +19,11 @@ def test_modular_all_above_threshold():
     for e in range(6):
         st.insert(e)
     assert st.solution() == {0, 1, 2}
-    # the overflow elements keep marginal 10 = opt/k, so once S is full
-    # they are filed in the top bucket awaiting a (never-coming) revoke
-    assert st.buckets[-1] == {3, 4, 5}
-    assert all(not b for b in st.buckets[:-1])
+    # a full S is final: the overflow elements cost no query and are
+    # filed nowhere, though each insert is still counted
+    assert o.count == 3
+    assert st.inserts == 6
+    assert all(not b for b in st.buckets)
 
 
 def test_worthless_element_lands_in_bottom_bucket():
@@ -153,16 +156,71 @@ def test_bucket_soundness_and_charged_ceiling(n, items, seed, k, epsilon,
     order = data.draw(st.permutations(sorted(f.ground)))
     probe = f.as_oracle()
     eng = CardinalityState(f.as_oracle(), k, epsilon, opt_guess)
-    top = eng.n_buckets - 1
     for e in order:
+        full = len(eng.solution()) == k
+        before = (eng.oracle.count, eng.f_of_S, [set(b) for b in eng.buckets])
         eng.insert(e)
+        if full:  # a full S is final: no query, no value or bucket change
+            assert (eng.oracle.count, eng.f_of_S, eng.buckets) == before
         assert eng.charged <= eng.charged_budget()
         S = eng.solution()
         base = probe.eval(S)
         for ell, bucket in enumerate(eng.buckets):
-            # a full S is final, and an insert into it files any marginal
-            # at or above the top level's ceiling there
-            if len(S) == k and ell == top:
-                continue
             for x in bucket:
                 assert probe.eval(S | {x}) - base < (ell + 1) * eng.delta + 1e-9
+
+
+class QueryEveryInsert(CardinalityState):
+    """Test oracle: the engine as it was before a full S became final,
+    querying and filing every insert."""
+
+    def insert(self, e) -> None:
+        if e in self._seen:
+            raise ValueError(f"duplicate insert of {e}")
+        self._seen.add(e)
+        self.inserts += 1
+        m = self._marginal(e)
+        if m >= self._threshold() and len(self._in_S) < self.k:
+            self._accept(e, m)
+            self._revoke()
+        else:
+            self.buckets[self._bucket_index(m)].add(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 15), items=st.integers(1, 12),
+       seed=st.integers(0, 10 ** 6), k=st.integers(1, 5),
+       epsilon=st.floats(0.1, 0.9), opt_guess=st.floats(0.1, 15.0),
+       data=st.data())
+def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
+                                               opt_guess, data):
+    f = random_coverage(n, items, seed=seed, weighted=True)
+    order = data.draw(st.permutations(sorted(f.ground)))
+    eng = CardinalityState(f.as_oracle(), k, epsilon, opt_guess)
+    ref = QueryEveryInsert(f.as_oracle(), k, epsilon, opt_guess)
+    lad = GuessLadder(f.as_oracle(), k, epsilon)
+    ref_lad = GuessLadder(f.as_oracle(), k, epsilon)
+    for e in order:
+        eng.insert(e)
+        ref.insert(e)
+        assert eng.solution() == ref.solution()
+        assert eng.f_of_S == ref.f_of_S
+        lad.insert(e)
+        with mock.patch.object(cardinality, "CardinalityState",
+                               QueryEveryInsert):
+            ref_lad.insert(e)
+        assert lad.solution() == ref_lad.solution()
+    assert all(type(t) is QueryEveryInsert for t in ref_lad.threads.values())
+    assert eng.oracle.count <= ref.oracle.count
+
+
+def test_ladder_query_count_pinned():
+    # engines that query every insert (QueryEveryInsert) make 15,701
+    f = random_coverage(500, 2000, 1, weighted=True)
+    o = f.as_oracle()
+    lad = GuessLadder(o, 50, 0.2)
+    for e in sorted(f.ground):
+        lad.insert(e)
+    S = lad.solution()
+    assert o.count == 5296
+    assert repr(f(S)) == "278.95988989897006"

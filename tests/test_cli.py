@@ -5,6 +5,7 @@ import pytest
 
 from dynsub.cli import main
 from dynsub.harness import load_report_json
+from dynsub.streams import Stream
 
 
 def test_gen_then_verify_bipartite(tmp_path, capsys):
@@ -234,6 +235,25 @@ def test_run_rejects_stream_with_deletes(tmp_path, capsys):
                  f"random:{n}:10:0", "--opt-mode", "greedy-bound",
                  "--k", "2", "--epsilon", "0.25", "--stream", out]) == 1
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "insertion-only" in err
+
+
+def test_bench_refuses_stream_with_deletes_before_first_run(tmp_path,
+                                                              capsys):
+    bip = str(tmp_path / "bip.stream")
+    assert main(["gen-stream", "--family", "bipartite", "--m", "2",
+                 "--k", "4", "--w", "2", "--eps", "0.5", "--out", bip]) == 0
+    n = len(json.loads(Path(bip + ".json").read_text())["slots"])
+    ins = str(tmp_path / "ins.stream")
+    Stream.inserts(range(n)).dump(ins)
+    capsys.readouterr()
+    assert main(["bench", "--algo", "card-ladder", "--oracle",
+                 f"random:{n}:10:0", "--opt-mode", "greedy-bound",
+                 "--k", "2", "--epsilon", "0.25",
+                 "--sweep", f"stream={ins},{bip}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("\n") == 1
     assert "insertion-only" in err
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynsub.matroid_dynamic import (BranchParams, InvariantError,
                                     MatroidHalf, PruneGreedyState,
@@ -196,3 +198,32 @@ def test_single_element_stream_uniform_one():
 def test_standard_params_refuse_out_of_range(k, eps, opt):
     with pytest.raises(ValueError, match="branch parameters need"):
         BranchParams.standard(k, eps, opt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6),
+       k_eps=st.sampled_from([(2, 0.5), (3, 0.33), (4, 0.25)]),
+       partition=st.booleans(), data=st.data())
+def test_budget_semantics_after_every_insert(n, items, seed, k_eps,
+                                             partition, data):
+    k, eps = k_eps
+    f = random_coverage(n, items, seed, weighted=True)
+    ground = sorted(f.ground)
+    if partition:
+        blocks = {e: data.draw(st.integers(0, 2)) for e in ground}
+        M = PartitionMatroid(blocks, {b: data.draw(st.integers(1, 2))
+                                      for b in sorted(set(blocks.values()))})
+    else:
+        M = UniformMatroid(k, ground)
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    assume(opt > 0)
+    params = BranchParams.standard(k, eps, opt)
+    # L slots of at most R // L each, so the tuple sums to at most R
+    a = data.draw(st.lists(st.integers(0, params.R // params.L),
+                           min_size=params.L, max_size=params.L))
+    state = PruneGreedyState(f.as_oracle(), M, params, a)
+    for e in data.draw(st.permutations(ground)):
+        state.insert(e)
+        state.check_budget_semantics()
+        assert M.is_independent(state.solution())
