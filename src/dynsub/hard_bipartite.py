@@ -123,17 +123,27 @@ class BipartiteInstance:
         # a seeded shuffle of each block's slot list
         self.slot: dict[int, tuple[str, int, int]] = {}  # id -> (side, block, color)
         self.ids: dict[tuple[str, int, int], list[int]] = {}  # slot -> ids
+        # id -> ((side, block), color - 1): where _factors counts the id
+        self._cell: dict[int, tuple[tuple[str, int], int]] = {}
         nid = 0
         for side, size in (("A", self.a_class), ("B", self.b_class)):
             for i in range(1, m + 1):
                 slots = [j for j in range(1, w + 1) for _ in range(size)]
                 rng.shuffle(slots)
+                cells = [((side, i), j) for j in range(w)]
                 for j in slots:
-                    self.slot[nid] = (side, i, j)
-                    self.ids.setdefault((side, i, j), []).append(nid)
+                    self.slot[nid] = key = (side, i, j)
+                    self.ids.setdefault(key, []).append(nid)
+                    self._cell[nid] = cells[j - 1]
                     nid += 1
         self.n = nid
         self.ground = frozenset(range(nid))
+        # a color load is its count over part_alpha*k (A) or the rest (B)
+        self._load_scale = {"A": part_alpha * k, "B": (1.0 - part_alpha) * k}
+        # (block function, side, per-color counts) -> block value; counts
+        # never exceed a class size, so this holds at most
+        # (a_class+1)^w + (b_class+1)^w entries per block function
+        self.block_memo: dict = {}
 
     def block(self, side: str, i: int) -> list[int]:
         return [e for j in range(1, self.w + 1) for e in self.ids[(side, i, j)]]
@@ -143,27 +153,61 @@ class BipartiteInstance:
         count = dict.fromkeys(self.ids, 0)
         for e in S:
             count[self.slot[e]] += 1
-        sizes = (("A", self.part_alpha * self.k),
-                 ("B", (1.0 - self.part_alpha) * self.k))
-        y, z = ({i: [count[(side, i, j)] / size for j in range(1, self.w + 1)]
-                 for i in range(1, self.m + 1)} for side, size in sizes)
+        y, z = ({i: [count[(side, i, j)] / scale for j in range(1, self.w + 1)]
+                 for i in range(1, self.m + 1)}
+                for side, scale in self._load_scale.items())
         return y, z
+
+    def block_value(self, block_fn, side: str, count: tuple) -> float:
+        """block_fn on the load vector of a `side` block whose color
+        classes hold `count` elements; the vector is the one `loads`
+        builds, so the value is the same float."""
+        key = (block_fn, side, count)
+        v = self.block_memo.get(key)
+        if v is None:
+            scale = self._load_scale[side]
+            v = self.block_memo[key] = block_fn(self, [c / scale for c in count])
+        return v
+
+
+def _fhat_value(inst: BipartiteInstance, x) -> float:
+    return fhat(x, inst.sym)
+
+
+def _g_value(inst: BipartiteInstance, x) -> float:
+    return _g_block(x, inst.w)
 
 
 def _factors(inst: BipartiteInstance, S, block_fn, pi=None):
+    """beta (1 - b(y_pi(i))) + (1 - beta) (1 - b(z_i)) for i = 1..m, with
+    b = block_fn; S is counted once, and each block value comes from the
+    instance's memo.  S must hold no id twice."""
     if pi is None:
         pi = inst.pi
-    y, z = inst.loads(S)
+    elif not pi.keys() == set(pi.values()) == inst.pi.keys():
+        raise ValueError("pi must pair the m blocks of each side one to one")
+    touched: dict = {}  # (side, block) -> per-color counts of S
+    for e in S:
+        blk, j = inst._cell[e]
+        c = touched.get(blk)
+        if c is None:
+            c = touched[blk] = [0] * inst.w
+        c[j] += 1
+    zero = (0,) * inst.w
     beta = inst.beta
-    return [beta * (1.0 - block_fn(y[pi[i]])) +
-            (1.0 - beta) * (1.0 - block_fn(z[i]))
-            for i in range(1, inst.m + 1)]
+    fac = []
+    for i in range(1, inst.m + 1):
+        a, b = touched.get(("A", pi[i])), touched.get(("B", i))
+        y = inst.block_value(block_fn, "A", zero if a is None else tuple(a))
+        z = inst.block_value(block_fn, "B", zero if b is None else tuple(b))
+        fac.append(beta * (1.0 - y) + (1.0 - beta) * (1.0 - z))
+    return fac
 
 
 def bipartite_eval(inst: BipartiteInstance, S) -> float:
     """Exact hidden-pairing objective via the per-index factorization."""
     S = frozenset(S)
-    fac = _factors(inst, S, lambda v: fhat(v, inst.sym))
+    fac = _factors(inst, S, _fhat_value)
     prod = 1.0
     for t in fac:
         prod *= t
@@ -199,7 +243,7 @@ def symmetric_eval(inst: BipartiteInstance, S, pi=None) -> float:
     producing the same factor multiset give bit-identical values.
     """
     S = frozenset(S)
-    fac = _factors(inst, S, lambda v: _g_block(v, inst.w), pi=pi)
+    fac = _factors(inst, S, _g_value, pi=pi)
     prod = 1.0
     for t in sorted(fac):
         prod *= t

@@ -104,11 +104,15 @@ class ShuffledTreeInstance:
             raise ValueError(f"{n_nodes} nodes exceed cap {self.MAX_NODES}")
         self.tab = weight_sequence(self.L)
         # pi: internal node -> {child index -> permuted index}, the identity
-        # where the caller gives no entry; element ids go in BFS node order
+        # where the caller gives no entry; element ids go in BFS node order.
+        # Per element: the node that owns it, and the node pi^{-1}(owner)
+        # whose load it adds to in tree_F_eval
         given = pi or {}
         self.pi: dict = {}
         self._pi_inv: dict = {}
         self.base_id: dict = {}
+        self._owner: dict = {}
+        self._load_node: dict = {}
         nid = 0
         frontier = [()]
         for m in arities:
@@ -124,8 +128,10 @@ class ShuffledTreeInstance:
                                      f"of its children")
                 self.pi[u], self._pi_inv[u] = b, inv
                 for i in kids:
-                    v = u + (i,)
+                    v, load = u + (i,), u + (inv[i],)
                     self.base_id[v] = nid
+                    for e in range(nid, nid + self.w):
+                        self._owner[e], self._load_node[e] = v, load
                     nid += self.w
                     nxt.append(v)
             frontier = nxt
@@ -136,7 +142,6 @@ class ShuffledTreeInstance:
         self.leaves = frontier
         self.n = nid
         self.ground = frozenset(range(nid))
-        self._node_by_base = {b: v for v, b in self.base_id.items()}
 
     # --- node helpers -------------------------------------------------
     def elements_of(self, u) -> list[int]:
@@ -144,7 +149,7 @@ class ShuffledTreeInstance:
         return list(range(b, b + self.w))
 
     def node_of_element(self, e: int):
-        return self._node_by_base[e - e % self.w]
+        return self._owner[e]
 
     def shuffle_node(self, v):
         """pi(v): last coordinate permuted by the parent's bijection."""
@@ -192,34 +197,39 @@ def tree_sample(inst: ShuffledTreeInstance, seed: int) -> frozenset:
 def tree_G_exact(inst: ShuffledTreeInstance, x: dict) -> float:
     """Exact expectation of 1 - prod_{u in R}(1 - x_u) over R.
 
-    Recursion per node: E(v) = p_d (1 - x_v) + (1 - p_d) prod E(child);
-    any subtree without support has E = 1, so only support ancestors are
-    expanded.  Child products multiply in sorted value order, making the
+    x maps non-root nodes to loads in [0, 1]; any other key or load
+    raises ValueError.  Per node, E(v) = p_d (1 - x_v) + (1 - p_d) prod
+    E(child), and a subtree without support has E = 1, so one bottom-up
+    pass over the support and its ancestors, deepest first, gives E at
+    the root.  Child products multiply in sorted value order, making the
     result invariant (bit-for-bit) under support isomorphisms.
     """
-    p = inst.tab["p"]
-    support = {u: v for u, v in x.items() if v > 0.0}
-    for u, v in support.items():
+    for u, v in x.items():
+        if u not in inst.base_id:
+            raise ValueError(f"{u!r} is not a non-root node of the tree")
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"load {v} at node {u} outside [0,1]")
-    touched: set = set(support)
-    for u in list(support):
-        for d in range(len(u) - 1, 0, -1):
-            touched.add(u[:d])
-
-    def E(v) -> float:
-        d = len(v)
-        xv = support.get(v, 0.0)
-        kids = range(1, inst.arities[d] + 1) if d < inst.L else ()
-        vals = sorted(E(v + (i,)) for i in kids if (v + (i,)) in touched)
-        prod = 1.0
-        for t in vals:
-            prod *= t
-        if d == 0:
-            return prod
-        return p[d] * (1.0 - xv) + (1.0 - p[d]) * prod
-
-    return 1.0 - E(())
+    support = {u: v for u, v in x.items() if v > 0.0}
+    levels: list = [[] for _ in range(inst.L + 1)]  # touched nodes by depth
+    seen: set = set()
+    for u in support:
+        while u and u not in seen:  # an ancestor in seen has all of its own
+            seen.add(u)
+            levels[len(u)].append(u)
+            u = u[:-1]
+    p = inst.tab["p"]
+    kids: dict = {}  # node -> E of its touched children
+    for d in range(inst.L, 0, -1):
+        for v in levels[d]:
+            prod = 1.0
+            for t in sorted(kids.pop(v, ())):
+                prod *= t
+            kids.setdefault(v[:-1], []).append(
+                p[d] * (1.0 - support.get(v, 0.0)) + (1.0 - p[d]) * prod)
+    prod = 1.0
+    for t in sorted(kids.get((), ())):
+        prod *= t
+    return 1.0 - prod
 
 
 def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
@@ -231,8 +241,7 @@ def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
     S = frozenset(S)
     counts: dict = {}
     for e in S:
-        u = inst.node_of_element(e)
-        v = inst.shuffle_node_inv(u)
+        v = inst._load_node[e]
         counts[v] = counts.get(v, 0) + 1
     x = {v: c / (inst.eps * inst.k) for v, c in counts.items()}
     return min(tree_G_exact(inst, x) + inst.eps * len(S) / inst.k, 1.0)

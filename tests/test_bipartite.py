@@ -3,14 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams, analytic_F,
                                    analytic_Q, bipartite_descriptor,
                                    bipartite_eval, bipartite_eval_bruteforce,
                                    bipartite_from_descriptor, bipartite_stream,
                                    fhat, is_balanced, phi, symmetric_eval,
-                                   verify_bipartite)
-from dynsub.oracle import (CountedOracle, InvariantError,
+                                   verify_bipartite, _g_block)
+from dynsub.oracle import (CountedOracle, InvariantError, brute_force_opt,
                            check_submodular_monotone)
 from dynsub.streams import DELETE, INSERT
 
@@ -190,3 +192,79 @@ def test_golden_layout_and_values():
                    "0.9874927696376887"]
     assert repr(analytic_Q(0.56, 0.42)) == "0.5838904502091968"
     assert repr(analytic_Q(0.5, 0.5)) == "0.6321205588285577"
+
+
+# Test oracle: the per-index factorization written literally on the load
+# vectors of `inst.loads`, one block-function call per block and index.
+def literal_value(inst, S, block_fn, pi=None, sort=False):
+    S = frozenset(S)
+    pi = inst.pi if pi is None else pi
+    y, z = inst.loads(S)
+    beta = inst.beta
+    fac = [beta * (1.0 - block_fn(y[pi[i]])) +
+           (1.0 - beta) * (1.0 - block_fn(z[i]))
+           for i in range(1, inst.m + 1)]
+    prod = 1.0
+    for t in (sorted(fac) if sort else fac):
+        prod *= t
+    return min(1.0 - prod + inst.eps * len(S) / inst.k, 1.0)
+
+
+def literal_bipartite(inst, S):
+    return literal_value(inst, S, lambda v: fhat(v, inst.sym))
+
+
+def literal_symmetric(inst, S, pi=None):
+    return literal_value(inst, S, lambda v: _g_block(v, inst.w), pi=pi,
+                         sort=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 5), a_k=st.integers(1, 3), b_k=st.integers(1, 3),
+       w=st.integers(2, 4), eps=st.floats(0.11, 0.99),
+       beta=st.floats(0.01, 0.99), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_memoised_evaluators_match_the_literal_formula(m, a_k, b_k, w, eps,
+                                                       beta, seed, data):
+    k = a_k + b_k  # alpha*k = a_k elements per A color class
+    inst = BipartiteInstance(m=m, k=k, w=w, eps=eps, part_alpha=a_k / k,
+                             beta=beta, seed=seed)
+    ids = sorted(inst.ground)
+    for _ in range(6):
+        S = data.draw(st.sets(st.sampled_from(ids)))
+        pi = dict(enumerate(data.draw(st.permutations(range(1, m + 1))),
+                            start=1))
+        assert bipartite_eval(inst, S) == literal_bipartite(inst, S)
+        assert symmetric_eval(inst, S) == literal_symmetric(inst, S)
+        assert symmetric_eval(inst, S, pi=pi) == literal_symmetric(inst, S, pi)
+
+
+def test_block_memo_stays_within_its_bound():
+    inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33)
+    per_fn = (inst.a_class + 1) ** inst.w + (inst.b_class + 1) ** inst.w
+    brute_force_opt(CountedOracle(lambda S: bipartite_eval(inst, S),
+                                  inst.ground), k=inst.k)
+    assert len(inst.block_memo) == per_fn == 18  # every count vector seen
+    brute_force_opt(CountedOracle(lambda S: symmetric_eval(inst, S),
+                                  inst.ground), k=inst.k)
+    assert len(inst.block_memo) <= 2 * per_fn
+
+
+def test_block_memo_belongs_to_its_instance():
+    # same seed, so the same layout and pairing; eps changes every fhat
+    lo = BipartiteInstance(m=3, k=4, w=2, eps=0.33, seed=2)
+    hi = BipartiteInstance(m=3, k=4, w=2, eps=0.66, seed=2)
+    assert lo.slot == hi.slot and lo.pi == hi.pi
+    S = frozenset(lo.ids[("A", 1, 1)])  # unbalanced: f and fhat differ
+    a, b = bipartite_eval(lo, S), bipartite_eval(hi, S)
+    assert a != b
+    assert a == literal_bipartite(lo, S) and b == literal_bipartite(hi, S)
+    assert lo.block_memo.keys() == hi.block_memo.keys()
+    assert lo.block_memo != hi.block_memo
+
+
+def test_symmetric_eval_refuses_a_pi_that_is_no_pairing():
+    inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33, seed=2)
+    for bad in ({1: 1, 2: 1, 3: 2}, {1: 2, 2: 3}, {1: 2, 2: 3, 3: 4}):
+        with pytest.raises(ValueError, match="one to one"):
+            symmetric_eval(inst, {0}, pi=bad)

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsub.hard_tree import (ShuffledTreeInstance, asymptotic_arities,
                               random_tree_pi, traverse_leaves, traverse_stream,
@@ -88,6 +90,76 @@ def test_G_exact_basics():
     assert tree_G_exact(inst, {}) == 0.0
     path = {(1,): 1.0, (1, 2): 1.0, (1, 2, 1): 1.0}
     assert tree_G_exact(inst, path) == 1.0
+
+
+def test_G_exact_refuses_bad_keys_and_loads():
+    inst = tiny_tree()
+    for x in ({(1,): -0.5}, {(1,): math.nan}, {(1,): 1.5},
+              {(2, 1): 0.0, (1,): -0.0001}):
+        with pytest.raises(ValueError, match="outside"):
+            tree_G_exact(inst, x)
+    for x in ({(7,): 0.5}, {(): 0.5}, {(1, 3): 0.5}, {(1, 2, 1, 1): 0.5},
+              {(1, 2, 2): 0.0}, {"1": 0.5}):
+        with pytest.raises(ValueError, match="not a non-root node"):
+            tree_G_exact(inst, x)
+
+
+# Test oracle: the top-down recursion over the support's ancestors.
+def recursive_G(inst, x):
+    p = inst.tab["p"]
+    support = {u: v for u, v in x.items() if v > 0.0}
+    touched = set(support)
+    for u in support:
+        for d in range(len(u) - 1, 0, -1):
+            touched.add(u[:d])
+
+    def E(v):
+        d = len(v)
+        kids = range(1, inst.arities[d] + 1) if d < inst.L else ()
+        vals = sorted(E(v + (i,)) for i in kids if v + (i,) in touched)
+        prod = 1.0
+        for t in vals:
+            prod *= t
+        if d == 0:
+            return prod
+        return p[d] * (1.0 - support.get(v, 0.0)) + (1.0 - p[d]) * prod
+
+    return 1.0 - E(())
+
+
+def recursive_F(inst, S):
+    S = frozenset(S)
+    counts = Counter(inst.shuffle_node_inv(inst.node_of_element(e))
+                     for e in S)
+    x = {v: c / (inst.eps * inst.k) for v, c in counts.items()}
+    return min(recursive_G(inst, x) + inst.eps * len(S) / inst.k, 1.0)
+
+
+@st.composite
+def trees(draw):
+    L = draw(st.integers(1, 4))
+    arities = tuple(draw(st.lists(st.integers(1, 4), min_size=L - 1,
+                                  max_size=L - 1))) + (1,)
+    k = L * draw(st.integers(1, 3))
+    return ShuffledTreeInstance(
+        k=k, eps=1 / L, arities=arities,
+        pi=random_tree_pi(arities, draw(st.integers(0, 10 ** 6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=trees(), data=st.data())
+def test_bottom_up_G_and_F_match_the_recursion(inst, data):
+    nodes = sorted(inst.base_id)
+    loads = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    for _ in range(6):
+        x = data.draw(st.dictionaries(st.sampled_from(nodes), loads))
+        assert tree_G_exact(inst, x) == recursive_G(inst, x)
+        # every node loaded: many touched siblings, so product order shows
+        rnd = data.draw(st.randoms(use_true_random=False))
+        x = {u: rnd.random() for u in nodes}
+        assert tree_G_exact(inst, x) == recursive_G(inst, x)
+        S = data.draw(st.sets(st.sampled_from(sorted(inst.ground))))
+        assert tree_F_eval(inst, S) == recursive_F(inst, S)
 
 
 def test_G_exact_matches_monte_carlo():
