@@ -138,8 +138,8 @@ class BipartiteInstance:
                     nid += 1
         self.n = nid
         self.ground = frozenset(range(nid))
-        # a color load is its count over part_alpha*k (A) or the rest (B)
-        self._load_scale = {"A": part_alpha * k, "B": (1.0 - part_alpha) * k}
+        # a color load is its count over the class size
+        self._load_scale = {"A": self.a_class, "B": self.b_class}
         # (block function, side, per-color counts) -> block value; counts
         # never exceed a class size, so this holds at most
         # (a_class+1)^w + (b_class+1)^w entries per block function

@@ -243,7 +243,7 @@ def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
     for e in S:
         v = inst._load_node[e]
         counts[v] = counts.get(v, 0) + 1
-    x = {v: c / (inst.eps * inst.k) for v, c in counts.items()}
+    x = {v: c / inst.w for v, c in counts.items()}
     return min(tree_G_exact(inst, x) + inst.eps * len(S) / inst.k, 1.0)
 
 

@@ -134,29 +134,35 @@ def offline_greedy(oracle: CountedOracle, ground, k: int | None = None,
     return frozenset(S), val
 
 
-def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid):
+_REFUSED = object()  # brute_force_opt refused; a larger ground would too
+
+
+def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid,
+                  prev):
+    """(OPT estimate, whether it is only an upper bound, `prev` for the
+    next checkpoint).  `prev` is the brute-force result of the previous
+    checkpoint (None at the first), which the walk resumes from, or
+    _REFUSED once a walk was over budget: a larger ground has at least
+    as many feasible sets."""
     if not ground:
-        return 0.0, False
+        return 0.0, False, prev
     if cfg.opt_mode == "known":
-        return cfg.opt_value, False
-    if cfg.opt_mode == "brute-force":
+        return cfg.opt_value, False, prev
+    if cfg.opt_mode == "brute-force" and prev is not _REFUSED:
         try:
-            if matroid is not None:
-                _, v = brute_force_opt(oracle, ground=ground, matroid=matroid,
-                                       budget=cfg.brute_budget)
-            else:
-                _, v = brute_force_opt(oracle, ground=ground, k=cfg.k,
-                                       budget=cfg.brute_budget)
-            return v, False
+            prev = brute_force_opt(oracle, ground=ground, matroid=matroid,
+                                   k=cfg.k if matroid is None else None,
+                                   budget=cfg.brute_budget, prev=prev)
+            return prev[1], False, prev
         except EnumerationBudgetError:
-            pass  # fall through to the greedy bound
+            prev = _REFUSED  # fall through to the greedy bound
     # greedy is within 1-1/e of OPT under a cardinality constraint and
     # within 1/2 under a matroid (Fisher, Nemhauser and Wolsey 1978)
     if matroid is not None:
         _, g = offline_greedy(oracle, ground, matroid=matroid)
-        return 2.0 * g, True
+        return 2.0 * g, True, prev
     _, g = offline_greedy(oracle, ground, k=cfg.k)
-    return g / (1.0 - 1.0 / math.e), True
+    return g / (1.0 - 1.0 / math.e), True, prev
 
 
 def _card(cfg: RunConfig, oracle: CountedOracle, matroid):
@@ -204,6 +210,9 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     live: set = set()
     q_prev = 0
     any_bound = False
+    # the stream is insertion-only, so each probe's feasible sets stay
+    # feasible at the next checkpoint and the walk resumes from them
+    prev_opt = None
     for t, op in enumerate(stream, start=1):
         live.add(op.element)
         algo.insert(op.element)
@@ -212,7 +221,8 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
         S = algo.solution()
         q_total = algo_oracle.count
         value = probe_oracle.eval(S)
-        opt, is_bound = _opt_estimate(cfg, probe_oracle, live, matroid)
+        opt, is_bound, prev_opt = _opt_estimate(cfg, probe_oracle, live,
+                                                matroid, prev_opt)
         any_bound = any_bound or is_bound
         ratio = value / opt if opt > 0 else (1.0 if value <= 0 else math.inf)
         records.append(RoundRecord(

@@ -109,50 +109,96 @@ def _n_choose_upto(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(min(k, n) + 1))
 
 
+class Optimum(tuple):
+    """The pair (best set, value) of a brute-force walk, which unpacks
+    like a tuple, plus what a later walk over a larger ground resumes
+    from: `ground`, the elements walked so far, and `count`, the feasible
+    subsets of `ground`."""
+
+    def __new__(cls, best: frozenset, value: float, ground: frozenset,
+                count: int):
+        self = super().__new__(cls, (best, value))
+        self.ground, self.count = ground, count
+        return self
+
+
 def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
-                    matroid=None, budget: int = 10 ** 6):
+                    matroid=None, budget: int = 10 ** 6,
+                    prev: Optimum | None = None) -> Optimum:
     """Exact maximizer over feasible subsets of `ground`.
 
     Feasibility is |S| <= k (cardinality) or membership in `matroid`.
-    Ties break toward the lexicographically smallest sorted id tuple.
-    Refuses (never approximates) when enumeration exceeds `budget` sets.
+    The value is the exact maximum, and among sets of that value the one
+    with the lexicographically smallest sorted id tuple wins, so the
+    result does not depend on the order of the walk.
+
+    `prev` is the result of an earlier call with the same oracle and
+    constraint over a subset of `ground`.  Every set feasible then is
+    feasible now with the same value, so only the feasible sets that
+    hold an element outside `prev.ground` are evaluated, and the better
+    of them and `prev` is returned.  Without `prev` every feasible set,
+    the empty one included, is evaluated.
+
+    The budget counts the feasible subsets of the whole of `ground`,
+    whether walked now or by the calls `prev` resumes: C(|ground|, <= k)
+    under a cardinality constraint, checked before the walk, and
+    `prev.count` plus the sets walked now under a matroid, checked as
+    the walk goes.  Over `budget` the call refuses (never approximates)
+    with EnumerationBudgetError.
     """
     if (k is None) == (matroid is None):
         raise ValueError("specify exactly one of k / matroid")
-    ground = sorted(oracle.ground if ground is None else ground)
-
-    if k is not None:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if _n_choose_upto(len(ground), k) > budget:
-            raise EnumerationBudgetError(
-                f"C({len(ground)},<= {k}) exceeds budget {budget}")
-        walk = ((frozenset(tup), tup) for tup in itertools.chain.from_iterable(
-            itertools.combinations(ground, j)
-            for j in range(min(k, len(ground)) + 1)))
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
+    ground = frozenset(oracle.ground if ground is None else ground)
+    if prev is None:
+        old, new, count = [], sorted(ground), 1  # the empty set
+    elif prev.ground <= ground:
+        old, new = sorted(prev.ground), sorted(ground - prev.ground)
+        count = prev.count
     else:
-        walk = _independent_sets(matroid, ground, budget)
-    best_val, best_set, best_key = 0.0, frozenset(), ()
-    for S, tup in walk:
+        raise ValueError("prev must come from a walk over a subset of ground")
+    if k is not None:
+        count = _n_choose_upto(len(ground), k)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"{count} feasible sets exceed budget {budget}")
+    if prev is None:
+        best_set, best_val = frozenset(), oracle.eval(frozenset())
+    else:
+        best_set, best_val = prev
+    for S in _sets_through(new, old, k, matroid):
+        if k is None:
+            count += 1
+            if count > budget:
+                raise EnumerationBudgetError(
+                    f"independent-set walk exceeds budget {budget}")
         v = oracle.eval(S)
-        if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and tup < best_key):
-            best_val, best_set, best_key = v, S, tup
-    return best_set, best_val
+        if v > best_val or (v == best_val and sorted(S) < sorted(best_set)):
+            best_set, best_val = S, v
+    return Optimum(best_set, best_val, ground, count)
 
 
-def _independent_sets(matroid, ground: list, budget: int):
-    """(S, sorted id tuple of S) for each independent subset of `ground`:
-    a DFS over elements in id order that prunes dependent prefixes,
-    which downward closure makes exact."""
-    explored = 0
-    stack = [(frozenset(), 0)]
-    while stack:
-        S, start = stack.pop()
-        explored += 1
-        if explored > budget:
-            raise EnumerationBudgetError(f"independent-set walk exceeds budget {budget}")
-        yield S, tuple(sorted(S))
-        for i in range(len(ground) - 1, start - 1, -1):
-            cand = S | {ground[i]}
-            if matroid.is_independent(cand):
-                stack.append((cand, i + 1))
+def _sets_through(new: list, old: list, k: int | None, matroid):
+    """Each feasible subset of old + new that holds an element of `new`,
+    once: those whose first element of `new` is new[i] are new[i] plus
+    a subset of old + new[i+1:].  Under a matroid that subset grows by a
+    DFS in pool order that prunes dependent prefixes, which downward
+    closure makes exact."""
+    for i, e in enumerate(new):
+        pool = old + new[i + 1:]
+        root = frozenset((e,))
+        if k is not None:
+            for j in range(min(k - 1, len(pool)) + 1):
+                yield from map(root.union, itertools.combinations(pool, j))
+            continue
+        if not matroid.is_independent(root):
+            continue
+        stack = [(root, 0)]
+        while stack:
+            S, start = stack.pop()
+            yield S
+            for j in range(len(pool) - 1, start - 1, -1):
+                cand = S | {pool[j]}
+                if matroid.is_independent(cand):
+                    stack.append((cand, j + 1))

@@ -268,3 +268,12 @@ def test_symmetric_eval_refuses_a_pi_that_is_no_pairing():
     for bad in ({1: 1, 2: 1, 3: 2}, {1: 2, 2: 3}, {1: 2, 2: 3, 3: 4}):
         with pytest.raises(ValueError, match="one to one"):
             symmetric_eval(inst, {0}, pi=bad)
+
+
+def test_full_color_class_load_is_exactly_one():
+    # part_alpha*k = 28.999999999999996 here; dividing by it gave a full
+    # A color class the load 1.0000000000000002
+    inst = BipartiteInstance(m=1, k=100, w=2, eps=0.33, part_alpha=0.29)
+    assert (inst.a_class, inst.b_class) == (29, 71)
+    y, z = inst.loads(inst.ground)
+    assert y == z == {1: [1.0, 1.0]}

@@ -1,12 +1,19 @@
+import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynsub import harness
 from dynsub.harness import (RoundRecord, RunConfig, UnsupportedOpError,
                             emit_report, load_report_json, offline_greedy,
                             parse_config, run_stream)
 from dynsub.matroids import PartitionMatroid
 from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
+from dynsub.oracle import EnumerationBudgetError, brute_force_opt
 from dynsub.streams import DELETE, INSERT, Stream, StreamOp
 
 
@@ -195,3 +202,74 @@ def test_greedy_bound_under_a_matroid_is_certified():
     assert [r.t for r in records] == [1, 2, 3]
     assert all(r.opt >= opt and r.ratio <= 1.0
                for r, opt in zip(records, (1.99, 3.99, 3.99)))
+
+
+def _two_block_matroid(ground):
+    return PartitionMatroid({e: e % 2 for e in ground}, {0: 1, 1: 2})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6), k=st.integers(1, 3),
+       matroid=st.booleans(),
+       checkpoint=st.sampled_from(["every-round", "every-n:2", "every-n:3"]),
+       budget=st.integers(1, 140) | st.just(10 ** 6))
+def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
+                                               checkpoint, budget):
+    """Every checkpoint's opt is a fresh full brute force over the prefix,
+    and the greedy-bound fallback fires exactly where that walk refuses."""
+    f = random_coverage(n, items, seed, weighted=True)
+    order = sorted(f.ground)
+    random.Random(seed).shuffle(order)
+    stream = Stream.inserts(order)
+    M = _two_block_matroid(f.ground) if matroid else None
+    constraint = dict(matroid=M) if matroid else dict(k=k)
+    cfg = RunConfig(algo="card-ladder", k=k, epsilon=0.25,
+                    checkpoint=checkpoint)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunConfig, "brute_budget", budget)
+        records, meta = run_stream(cfg, f, stream, matroid=M)
+    bound_cfg = RunConfig(algo="card-ladder", k=k, epsilon=0.25,
+                          opt_mode="greedy-bound", checkpoint=checkpoint)
+    bounds, _ = run_stream(bound_cfg, f, stream, matroid=M)
+    refused = False
+    for rec, fallback in zip(records, bounds, strict=True):
+        try:
+            _, opt = brute_force_opt(f.as_oracle(), ground=order[:rec.t],
+                                     budget=budget, **constraint)
+        except EnumerationBudgetError:
+            refused, opt = True, fallback.opt
+        assert rec.opt == opt, rec
+    assert meta["opt_is_bound"] == refused
+
+
+@pytest.mark.parametrize("matroid", [False, True])
+def test_every_round_probe_walks_each_feasible_set_once(monkeypatch, matroid):
+    f = random_coverage(10, 12, seed=7, weighted=True)
+    M = _two_block_matroid(f.ground) if matroid else None
+    walked, depth = [], []
+
+    def inner(S):
+        if depth:
+            walked.append(frozenset(S))
+        return f(S)
+
+    def tracked(*args, **kwargs):
+        depth.append(1)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    real = harness.brute_force_opt
+    monkeypatch.setattr(harness, "brute_force_opt", tracked)
+    order = sorted(f.ground)
+    random.Random(7).shuffle(order)
+    cfg = RunConfig(algo="card-ladder", k=3, epsilon=0.25)
+    records, meta = run_stream(cfg, inner, Stream.inserts(order), matroid=M)
+    assert len(records) == 10 and not meta["opt_is_bound"]
+    feasible = [frozenset(c) for j in range(4)
+                for c in itertools.combinations(order, j)
+                if M is None or M.is_independent(c)]
+    # f(S_t) is probed outside brute force, so only the walks count here
+    assert Counter(walked) == Counter(feasible)

@@ -74,7 +74,63 @@ def test_brute_force_matroid_matches_filtered_enumeration():
         for tup in itertools.combinations(range(8), r):
             if M.is_independent(tup):
                 best = max(best, f(tup))
-    assert abs(v - best) < 1e-12
+    assert v == best
+
+
+def test_brute_force_returns_the_exact_maximum():
+    # {1} is 2**-52 above {0}; a tie rule with 1e-15 of slack kept {0}
+    f = ModularFunction({0: 0.5, 1: 0.5 + 2 ** -52})
+    S, v = brute_force_opt(f.as_oracle(), k=1)
+    assert S == {1} and v == 0.5 + 2 ** -52
+
+
+def test_brute_force_ties_go_to_the_smallest_sorted_tuple():
+    f = ModularFunction({0: 1.0, 1: 1.0, 2: 1.0})
+    o = f.as_oracle()
+    assert tuple(brute_force_opt(o, k=2)) == (frozenset({0, 1}), 2.0)
+    # the same winner when the tied sets are walked across a resume
+    prev = brute_force_opt(o, ground={1, 2}, k=2)
+    assert prev[0] == {1, 2}
+    assert brute_force_opt(o, k=2, prev=prev)[0] == {0, 1}
+
+
+def _partition_9():
+    return PartitionMatroid({e: e % 3 for e in range(9)}, {0: 1, 1: 2, 2: 1})
+
+
+@pytest.mark.parametrize("matroid", [False, True])
+def test_brute_force_resume_matches_a_full_walk(matroid):
+    f = random_coverage(9, 12, seed=6, weighted=True)
+    constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
+    full = brute_force_opt(f.as_oracle(), **constraint)
+    o = f.as_oracle()
+    prev = None
+    for t in (2, 3, 7, 9):
+        prev = brute_force_opt(o, ground=range(t), prev=prev, **constraint)
+    assert tuple(prev) == tuple(full)
+    assert (prev.ground, prev.count) == (full.ground, full.count)
+    # every feasible set, the empty one included, was evaluated once
+    assert o.count == full.count
+
+
+@pytest.mark.parametrize("matroid", [False, True])
+def test_brute_force_resume_budget_counts_the_whole_ground(matroid):
+    f = random_coverage(9, 12, seed=7)
+    constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
+    n_sets = brute_force_opt(f.as_oracle(), **constraint).count
+    o = f.as_oracle()
+    prev = brute_force_opt(o, ground=range(5), budget=n_sets, **constraint)
+    with pytest.raises(EnumerationBudgetError):
+        brute_force_opt(o, budget=n_sets - 1, prev=prev, **constraint)
+    assert brute_force_opt(o, budget=n_sets, prev=prev, **constraint).count \
+        == n_sets
+
+
+def test_brute_force_resume_needs_a_subset():
+    o = random_coverage(6, 6, seed=8).as_oracle()
+    prev = brute_force_opt(o, ground={0, 5}, k=2)
+    with pytest.raises(ValueError, match="subset"):
+        brute_force_opt(o, ground={0, 1, 2}, k=2, prev=prev)
 
 
 def test_brute_force_dominates_greedy_spotcheck():

@@ -131,7 +131,7 @@ def recursive_F(inst, S):
     S = frozenset(S)
     counts = Counter(inst.shuffle_node_inv(inst.node_of_element(e))
                      for e in S)
-    x = {v: c / (inst.eps * inst.k) for v, c in counts.items()}
+    x = {v: c / inst.w for v, c in counts.items()}
     return min(recursive_G(inst, x) + inst.eps * len(S) / inst.k, 1.0)
 
 
@@ -295,3 +295,11 @@ def test_golden_stream_weights_and_values():
            for S in ({0}, {0, 3, 9}, {2, 5, 20, 33})]
     assert got == ["0.11296273844849741", "0.34115538361865055",
                    "0.5133812755098358"]
+
+
+def test_full_node_load_is_exactly_one():
+    # eps*k = 0.9999999999999999 here; dividing by it gave a full node
+    # the load 1.0000000000000002, which tree_G_exact refused
+    inst = ShuffledTreeInstance(k=49, eps=1 / 49, arities=(1,) * 49)
+    assert inst.w == 1
+    assert tree_F_eval(inst, inst.ground) == 1.0
