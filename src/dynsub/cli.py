@@ -66,7 +66,11 @@ def _load_run(args):
         raise ValueError(f"stream ids not in the oracle's ground set: "
                          f"{sorted(unknown)}")
     cfg.check_stream(stream)
-    return cfg, inner, stream, _load_matroid(args.matroid, stream.elements())
+    matroid = _load_matroid(args.matroid, stream.elements())
+    if matroid is not None and not stream.elements() <= matroid.ground:
+        raise ValueError(f"matroid {args.matroid} has no block for stream ids "
+                         f"{sorted(stream.elements() - matroid.ground)}")
+    return cfg, inner, stream, matroid
 
 
 def _cmd_run(args, loaded) -> int:

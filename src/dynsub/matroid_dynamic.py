@@ -106,18 +106,16 @@ class PruneGreedyState:
         self.terminated = False
         self.charged = 0
 
-    def _marginal(self, e) -> float:
-        self.charged += 2
-        return self.h.eval(self._in_S | {e}) - self.h_of_S
-
     def _try_accept(self, e) -> bool:
         """Test e at the active level; returns True if the level budget
         was newly exhausted."""
         if e in self._in_S:
             return False
-        if not self.M.is_independent(self._in_S | {e}):
+        cand = frozenset(self._in_S | {e})
+        if not self.M.is_independent(cand):
             return False
-        m = self._marginal(e)
+        self.charged += 2
+        m = self.h.eval(cand) - self.h_of_S
         if m < self.params.threshold(self.ell):
             return False
         self._in_S.add(e)
@@ -144,10 +142,10 @@ class PruneGreedyState:
     def insert(self, e) -> None:
         if self.terminated:
             return
+        self.history.append(e)
         if self.ell is None:  # no funded level at all
             self.terminated = True
             return
-        self.history.append(e)
         if self._try_accept(e):
             self._revoke()
 
@@ -168,40 +166,69 @@ class PruneGreedyState:
 
 @dataclass
 class LPassResult:
+    """The branch tuple `reference_lpass` certifies for a prefix, and
+    what a call over a longer prefix resumes from."""
     a_star: tuple
     T: frozenset
     value: float  # h(T) accumulated the pruned-greedy way
+    prefix: tuple  # the elements the passes walked
+    # per pass ell: (base_val, S_ell), S_ell as ((element, marginal), ...)
+    passes: tuple
 
 
-def reference_lpass(prefix, h: CountedOracle, M,
-                    params: BranchParams) -> LPassResult:
+def reference_lpass(prefix, h: CountedOracle, M, params: BranchParams,
+                    prev: LPassResult | None = None) -> LPassResult:
     """Offline L-pass greedy with per-pass floor-rounded pruning.
 
     Pass ell collects S_ell by thresholding against the growing base
     T_1..T_{ell-1} + S_ell-so-far; T_ell is the shortest prefix of
     S_ell whose accumulated marginal mass exhausts a*_ell * delta,
     mirroring the online budget arithmetic operation for operation.
+
+    `prev`, the result of an earlier call over a prefix of `prefix`
+    (ValueError otherwise), makes the call walk only the new elements
+    in each pass ell whose a*_1 .. a*_{ell-1} are unchanged: T_1 ..
+    T_{ell-1}, and so pass ell's scan up to there, are then those of
+    `prev`.  The passes after the first changed a*_ell walk the whole
+    prefix again.  The result, and any InvariantError, is that of a
+    call without `prev`; only the number of queries differs.
     """
-    prefix = list(prefix)
+    prefix = tuple(prefix)
+    done = 0  # elements of prefix the passes of prev have walked
+    if prev is not None:
+        done = len(prev.prefix)
+        if prefix[:done] != prev.prefix:
+            raise ValueError("prev is the L-pass of a sequence that does not "
+                             "begin this prefix")
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
     a_star = []
+    passes = []
     for level in range(1, params.L + 1):
         thresh = params.threshold(level)
-        S_ell: list[tuple[int, float]] = []  # (element, accepted marginal)
+        # built by the adds a fresh call makes, so the sets made from it
+        # iterate in the same order and order-sensitive sums agree
         base = set(T_set)
-        base_val = t_val
-        for e in prefix:
+        if prev is None:
+            base_val, S_ell, scan = t_val, [], prefix
+        else:
+            base_val, S_ell = prev.passes[level - 1]
+            S_ell = list(S_ell)
+            base.update(e for e, _ in S_ell)
+            scan = prefix[done:]
+        for e in scan:
             if e in base:
                 continue
-            if not M.is_independent(base | {e}):
+            cand = frozenset(base | {e})
+            if not M.is_independent(cand):
                 continue
-            m = h.eval(base | {e}) - base_val
+            m = h.eval(cand) - base_val
             if m >= thresh:
                 S_ell.append((e, m))
                 base.add(e)
                 base_val += m
+        passes.append((base_val, tuple(S_ell)))
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0
         a_star.append(a_ell)
@@ -216,17 +243,39 @@ def reference_lpass(prefix, h: CountedOracle, M,
                     break
             else:
                 raise InvariantError("pass value failed to exhaust its own budget")
+        if prev is not None and a_ell != prev.a_star[level - 1]:
+            prev = None  # T_ell moved, so the later passes start anew
     if sum(a_star) > params.R:
         raise InvariantError(
             f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
             "opt is likely mis-scaled")
-    return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val)
+    return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val,
+                       prefix=prefix, passes=tuple(passes))
 
 
 def run_prune_greedy(prefix, h: CountedOracle, M, params: BranchParams,
-                     a) -> PruneGreedyState:
-    state = PruneGreedyState(h, M, params, a)
-    for e in prefix:
+                     a, prev: PruneGreedyState | None = None
+                     ) -> PruneGreedyState:
+    """The pruned greedy at branch tuple `a` after `prefix`.
+
+    `prev`, a state an earlier call returned for a prefix of `prefix`,
+    is fed the new elements in place and returned when its branch tuple
+    is `a`; a terminated one takes none.  ValueError when the elements
+    `prev` took (its history, which ends at the one that terminated it)
+    do not begin `prefix`.  After a call that raised, pass a state from
+    before it or None.
+    """
+    prefix = list(prefix)
+    fed = 0
+    if prev is not None:
+        fed = len(prev.history)
+        if prefix[:fed] != prev.history:
+            raise ValueError("prev was fed a sequence that does not begin "
+                             "this prefix")
+    state = prev
+    if prev is None or prev.a != tuple(a):
+        state, fed = PruneGreedyState(h, M, params, a), 0
+    for e in prefix[fed:]:
         if state.terminated:
             break
         state.insert(e)
@@ -237,10 +286,13 @@ class MatroidHalf:
     """The (1/2 - eps) runner over an insertion-only stream, resumable
     per insert.
 
-    Guided mode replays the history through the pruned greedy at the
-    branch tuple the reference L-pass certifies for it; exhaustive mode
-    keeps one pruned-greedy state per branch tuple and reports the best
-    by value.
+    Guided mode runs the pruned greedy at the branch tuple the
+    reference L-pass certifies for the history.  Each solution()
+    resumes both from the previous one: the history only grows, so the
+    L-pass walks only the new elements until some a*_ell changes, and
+    the pruned greedy is fed only the new elements until a* changes.
+    insert makes no query.  Exhaustive mode keeps one pruned-greedy
+    state per branch tuple and reports the best by value.
     """
 
     def __init__(self, oracle: CountedOracle, M, params: BranchParams,
@@ -255,6 +307,8 @@ class MatroidHalf:
         self.states = ([PruneGreedyState(oracle, M, params, a)
                         for a in enumerate_branches(params.L, params.R)]
                        if mode == "exhaustive" else [])
+        self._lpass: LPassResult | None = None  # last L-pass that returned
+        self._replay: PruneGreedyState | None = None
 
     def insert(self, e) -> None:
         self.history.append(e)
@@ -263,10 +317,14 @@ class MatroidHalf:
 
     def solution(self) -> frozenset:
         if self.mode == "guided":
-            ref = reference_lpass(self.history, self.oracle, self.M,
-                                  self.params)
-            return run_prune_greedy(self.history, self.oracle, self.M,
-                                    self.params, ref.a_star).solution()
+            self._lpass = reference_lpass(self.history, self.oracle, self.M,
+                                          self.params, prev=self._lpass)
+            # the replay is fed in place, so it is dropped if feeding raises
+            replay, self._replay = self._replay, None
+            self._replay = run_prune_greedy(self.history, self.oracle, self.M,
+                                            self.params, self._lpass.a_star,
+                                            prev=replay)
+            return self._replay.solution()
         return best_of(self.oracle, (st.solution() for st in self.states))
 
 

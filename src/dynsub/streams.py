@@ -77,10 +77,14 @@ class Stream:
             if header != "stream v1":
                 raise ValueError(f"bad stream header {header!r}")
             ops = []
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for lineno, line in enumerate(fh, start=2):
+                tok = line.split()
+                if not tok:
                     continue
-                kind, sid = line.split()
-                ops.append(StreamOp(kind, int(sid)))
+                try:
+                    kind, sid = tok
+                    ops.append(StreamOp(kind, int(sid)))
+                except ValueError:
+                    raise ValueError(f"bad stream line {lineno}: "
+                                     f"{line.strip()!r}") from None
         return cls(ops)

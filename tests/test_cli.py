@@ -200,6 +200,43 @@ def test_run_rejects_stream_ids_outside_oracle(tmp_path, capsys):
     assert "[42, 99]" in err
 
 
+def _two_id_matroid(tmp_path):
+    part = tmp_path / "part.matroid"
+    part.write_text("partition\nb 0 cap 1\ne 0 block 0\ne 1 block 0\n")
+    return str(part)
+
+
+def test_run_refuses_a_matroid_without_every_stream_id(tmp_path, capsys):
+    part = _two_id_matroid(tmp_path)
+    assert main(HALF + ["--matroid", part, "--k", "2", "--epsilon", "0.3",
+                        "--opt", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"matroid {part} has no block for stream ids [2, 3, 4, 5]" in err
+
+
+def test_bench_refuses_a_matroid_without_every_stream_id(tmp_path, capsys):
+    part = _two_id_matroid(tmp_path)
+    assert main(["bench", "--algo", "matroid-half", "--oracle",
+                 "random:6:5:0", "--k", "2", "--epsilon", "0.3", "--opt",
+                 "100", "--sweep", f"matroid=uniform:2,{part}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"matroid {part} has no block" in err
+
+
+@pytest.mark.parametrize("body, bad", [
+    ("I 0 1\n", "2: 'I 0 1'"), ("I 0\nI\n", "3: 'I'"),
+    ("I x\n", "2: 'I x'"), ("X 0\n", "2: 'X 0'")])
+def test_run_refuses_a_malformed_stream_line(tmp_path, capsys, body, bad):
+    stream = tmp_path / "s.txt"
+    stream.write_text("stream v1\n" + body)
+    assert main(RUN + ["--k", "2", "--epsilon", "0.5",
+                       "--stream", str(stream)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad stream line {bad}\n"
+
+
 @pytest.mark.parametrize("policy", ["every-n:0", "every-n:-3", "every-n:x"])
 def test_run_rejects_bad_checkpoint(policy, capsys):
     assert main(["run", "--algo", "card-ladder", "--oracle", "random:6:5:0",

@@ -11,7 +11,8 @@ from dynsub.matroid_dynamic import (BranchParams, InvariantError,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import ModularFunction, random_coverage
-from dynsub.oracle import EnumerationBudgetError, brute_force_opt
+from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
+                           brute_force_opt)
 
 
 def random_partition_instance(seed, n_max=20, rank_max=4):
@@ -227,3 +228,133 @@ def test_budget_semantics_after_every_insert(n, items, seed, k_eps,
         state.insert(e)
         state.check_budget_semantics()
         assert M.is_independent(state.solution())
+
+
+def _replay_view(st):
+    return (st.solution(), repr(st.h_of_S), st.terminated, st.ell, st.c,
+            st.history, st.charged)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6),
+       k_eps=st.sampled_from([(2, 0.5), (3, 0.33), (4, 0.25)]),
+       opt_scale=st.sampled_from([0.2, 0.5, 1.0, 3.0]),
+       partition=st.booleans(), data=st.data())
+def test_resumed_lpass_and_replay_equal_a_fresh_call(n, items, seed, k_eps,
+                                                     opt_scale, partition,
+                                                     data):
+    k, eps = k_eps
+    f = random_coverage(n, items, seed, weighted=True)
+    ground = sorted(f.ground)
+    if partition:
+        blocks = {e: data.draw(st.integers(0, 2)) for e in ground}
+        M = PartitionMatroid(blocks, {b: data.draw(st.integers(1, 2))
+                                      for b in sorted(set(blocks.values()))})
+    else:
+        M = UniformMatroid(k, ground)
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    assume(opt > 0)
+    params = BranchParams.standard(k, eps, opt_scale * opt)
+    order = data.draw(st.permutations(ground))
+    oracle = f.as_oracle()
+    ref = replay = None  # the last results that returned
+    for t in range(len(order) + 1):
+        prefix = order[:t]
+        try:
+            fresh = reference_lpass(prefix, oracle, M, params)
+        except InvariantError as exc:
+            with pytest.raises(InvariantError) as got:
+                reference_lpass(prefix, oracle, M, params, prev=ref)
+            assert str(got.value) == str(exc)
+            continue
+        ref = reference_lpass(prefix, oracle, M, params, prev=ref)
+        assert ref == fresh and repr(ref.value) == repr(fresh.value)
+        replay = run_prune_greedy(prefix, oracle, M, params, ref.a_star,
+                                  prev=replay)
+        assert _replay_view(replay) == _replay_view(
+            run_prune_greedy(prefix, oracle, M, params, fresh.a_star))
+        replay.check_budget_semantics()
+
+
+def test_resume_from_a_non_prefix_raises():
+    f, M, order = random_partition_instance(3)
+    oracle = f.as_oracle()
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    params = BranchParams.standard(4, 0.33, opt)
+    ref = reference_lpass(order[:5], oracle, M, params)
+    st = run_prune_greedy(order[:5], oracle, M, params, ref.a_star)
+    for prefix in (order[:4], order[1:6], order[:4] + order[6:7]):
+        with pytest.raises(ValueError, match="does not begin this prefix"):
+            reference_lpass(prefix, oracle, M, params, prev=ref)
+    # a state took the elements up to the one that terminated it
+    fed = len(st.history)
+    assert fed >= 1
+    for prefix in (order[1:6], order[:fed - 1], order[:fed - 1] + order[6:7]):
+        with pytest.raises(ValueError, match="does not begin this prefix"):
+            run_prune_greedy(prefix, oracle, M, params, ref.a_star, prev=st)
+
+
+class _FailsOnce:
+    """A set function whose `fail_at`-th evaluation raises InvariantError,
+    standing in for a certification that fails at one checkpoint."""
+
+    def __init__(self, f, fail_at):
+        self.f, self.left = f, fail_at
+
+    def __call__(self, S):
+        self.left -= 1
+        if self.left == 0:
+            raise InvariantError("injected")
+        return self.f(S)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_guided_solution_resumes_after_an_invariant_error(seed):
+    f, M, order = random_partition_instance(seed)
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    params = BranchParams.standard(4, 0.33, opt)
+    want = []
+    for t in range(1, len(order) + 1):
+        ref = reference_lpass(order[:t], f.as_oracle(), M, params)
+        want.append(run_prune_greedy(order[:t], f.as_oracle(), M, params,
+                                     ref.a_star).solution())
+    clean = f.as_oracle()
+    half = MatroidHalf(clean, M, params)
+    for e in order:
+        half.insert(e)
+        half.solution()
+    # every query of an every-round run fails once, in its turn
+    for fail_at in range(1, clean.count + 1):
+        flaky = _FailsOnce(f, fail_at + 1)  # +1: the oracle's probe of {}
+        half = MatroidHalf(CountedOracle(flaky, f.ground), M, params)
+        raised = 0
+        for e, S in zip(order, want):
+            half.insert(e)
+            try:
+                got = half.solution()
+            except InvariantError:
+                raised += 1
+                continue
+            assert got == S, f"query {fail_at} failed"
+        assert raised == 1
+
+
+def test_guided_every_round_queries_are_pinned():
+    # a solution every round: the resumed L-pass and replay make 210
+    # queries where rerunning both over each prefix makes 2843
+    f = random_coverage(30, 40, 5, weighted=True)
+    order = sorted(f.ground)
+    M = UniformMatroid(3, order)
+    _, opt = brute_force_opt(f.as_oracle(), k=3)
+    params = BranchParams.standard(3, 0.33, opt)
+    half_oracle, rerun_oracle = f.as_oracle(), f.as_oracle()
+    half = MatroidHalf(half_oracle, M, params)
+    for t, e in enumerate(order, start=1):
+        half.insert(e)
+        ref = reference_lpass(order[:t], rerun_oracle, M, params)
+        rerun = run_prune_greedy(order[:t], rerun_oracle, M, params,
+                                 ref.a_star)
+        assert half.solution() == rerun.solution()
+    assert half_oracle.count == 210
+    assert rerun_oracle.count == 2843
