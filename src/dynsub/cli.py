@@ -41,12 +41,20 @@ def _load_oracle_inner(spec: str):
     return CoverageFunction.load(spec)
 
 
-def _load_matroid(spec: str | None, ground):
+def _load_matroid(spec: str | None, ids):
+    """The matroid `spec` names, over a ground that holds the stream ids."""
     if spec is None:
         return None
-    if spec.startswith("uniform:"):
-        return UniformMatroid(int(spec.split(":", 1)[1]), ground)
-    return PartitionMatroid.load(spec)
+    try:
+        if spec.startswith("uniform:"):
+            return UniformMatroid(int(spec.split(":", 1)[1]), ids)
+        matroid = PartitionMatroid.load(spec)
+    except ValueError as exc:
+        raise ValueError(f"bad matroid {spec!r}: {exc}") from None
+    if not ids <= matroid.ground:
+        raise ValueError(f"matroid {spec} has no block for stream ids "
+                         f"{sorted(ids - matroid.ground)}")
+    return matroid
 
 
 def _load_run(args):
@@ -55,7 +63,6 @@ def _load_run(args):
     # flags left unset fall back to the RunConfig defaults
     cfg = RunConfig(**{name: v for name, v in vars(args).items()
                        if name in _RUN_FIELDS and v is not None})
-    cfg.checkpoint_rounds(0)  # refuses a malformed policy
     inner = _load_oracle_inner(args.oracle)
     if args.stream:
         stream = Stream.load(args.stream)
@@ -65,11 +72,8 @@ def _load_run(args):
     if unknown:
         raise ValueError(f"stream ids not in the oracle's ground set: "
                          f"{sorted(unknown)}")
-    cfg.check_stream(stream)
     matroid = _load_matroid(args.matroid, stream.elements())
-    if matroid is not None and not stream.elements() <= matroid.ground:
-        raise ValueError(f"matroid {args.matroid} has no block for stream ids "
-                         f"{sorted(stream.elements() - matroid.ground)}")
+    cfg.check_inputs(stream, matroid)
     return cfg, inner, stream, matroid
 
 

@@ -105,13 +105,11 @@ class ShuffledTreeInstance:
         self.tab = weight_sequence(self.L)
         # pi: internal node -> {child index -> permuted index}, the identity
         # where the caller gives no entry; element ids go in BFS node order.
-        # Per element: the node that owns it, and the node pi^{-1}(owner)
-        # whose load it adds to in tree_F_eval
+        # Per element: the node pi^{-1}(owner) whose load it adds to in
+        # tree_F_eval
         given = pi or {}
         self.pi: dict = {}
-        self._pi_inv: dict = {}
         self.base_id: dict = {}
-        self._owner: dict = {}
         self._load_node: dict = {}
         nid = 0
         frontier = [()]
@@ -126,12 +124,12 @@ class ShuffledTreeInstance:
                 if not b.keys() == inv.keys() == want:
                     raise ValueError(f"pi at node {u} is not a permutation "
                                      f"of its children")
-                self.pi[u], self._pi_inv[u] = b, inv
+                self.pi[u] = b
                 for i in kids:
                     v, load = u + (i,), u + (inv[i],)
                     self.base_id[v] = nid
                     for e in range(nid, nid + self.w):
-                        self._owner[e], self._load_node[e] = v, load
+                        self._load_node[e] = load
                     nid += self.w
                     nxt.append(v)
             frontier = nxt
@@ -148,19 +146,11 @@ class ShuffledTreeInstance:
         b = self.base_id[u]
         return list(range(b, b + self.w))
 
-    def node_of_element(self, e: int):
-        return self._owner[e]
-
     def shuffle_node(self, v):
         """pi(v): last coordinate permuted by the parent's bijection."""
         if not v:
             return v
         return v[:-1] + (self.pi[v[:-1]][v[-1]],)
-
-    def shuffle_node_inv(self, v):
-        if not v:
-            return v
-        return v[:-1] + (self._pi_inv[v[:-1]][v[-1]],)
 
     def shuffled_path_sets(self, leaf) -> list:
         """Nodes whose A-sets map onto the root path under rho_pi."""

@@ -12,7 +12,8 @@ from dataclasses import dataclass, asdict
 from typing import ClassVar
 
 from dynsub.cardinality import CardinalityState, GuessLadder
-from dynsub.matroid_dynamic import BranchParams, MatroidHalf
+from dynsub.matroid_dynamic import (BranchParams, MatroidHalf,
+                                    enumerate_branches)
 # unused here, but perfbench/tracer.py wraps these names on this module
 from dynsub.matroid_dynamic import reference_lpass, run_prune_greedy  # noqa: F401
 from dynsub.oracle import CountedOracle, EnumerationBudgetError, brute_force_opt
@@ -69,11 +70,25 @@ class RunConfig:
         if self.opt_mode == "known" and self.opt_value is None:
             raise ValueError("opt_mode known needs opt_value")
 
-    def check_stream(self, stream: Stream) -> None:
-        """Refuses a stream the algorithm cannot replay."""
+    def check_inputs(self, stream: Stream, matroid=None) -> None:
+        """Refuses, before any query, a run its inputs show cannot be made.
+        The OPT probe takes any matroid given, so must the algorithm."""
+        self.checkpoint_rounds(0)  # refuses a malformed policy
         if not stream.insertion_only:
             raise UnsupportedOpError(f"algorithm {self.algo} is "
                                      f"insertion-only; the stream has deletions")
+        if self.algo == "matroid-half" and matroid is None:
+            raise ValueError("algo matroid-half needs a matroid")
+        if self.algo != "matroid-half" and matroid is not None:
+            raise ValueError(f"algo {self.algo} takes no matroid, only k")
+        # __post_init__ refused an opt_value below 0 or not finite
+        if self.algo != "card-ladder" and not self.opt_value:
+            raise ValueError(f"algo {self.algo} needs a fixed opt_value with "
+                             f"0 < opt < inf, got {self.opt_value}")
+        if self.algo == "matroid-half":
+            params = BranchParams.standard(self.k, self.epsilon, self.opt_value)
+            if self.mode == "exhaustive":
+                enumerate_branches(params.L, params.R)  # checks the budget
 
     def checkpoint_rounds(self, n_ops: int):
         if self.checkpoint == "every-round":
@@ -165,31 +180,17 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid,
     return g / (1.0 - 1.0 / math.e), True, prev
 
 
-def _card(cfg: RunConfig, oracle: CountedOracle, matroid):
-    if cfg.opt_value is None:
-        raise ValueError("algo card needs a fixed opt_value")
-    return CardinalityState(oracle, cfg.k, cfg.epsilon, cfg.opt_value)
-
-
-def _card_ladder(cfg: RunConfig, oracle: CountedOracle, matroid):
-    return GuessLadder(oracle, cfg.k, cfg.epsilon)
-
-
-def _matroid_half(cfg: RunConfig, oracle: CountedOracle, matroid):
-    if matroid is None:
-        raise ValueError("algo matroid-half needs a matroid")
-    if cfg.opt_value is None:
-        raise ValueError("algo matroid-half needs a fixed opt_value")
-    params = BranchParams.standard(cfg.k, cfg.epsilon, cfg.opt_value)
-    return MatroidHalf(oracle, matroid, params, mode=cfg.mode)
-
-
-# name -> builder(cfg, algorithm oracle, matroid); every algorithm
-# here is insertion-only and has insert(e) and solution()
+# name -> builder(cfg, algorithm oracle, matroid) of a run that
+# check_inputs passed; every algorithm is insertion-only and has
+# insert(e) and solution()
 _ALGORITHMS = {
-    "card": _card,
-    "card-ladder": _card_ladder,
-    "matroid-half": _matroid_half,
+    "card": lambda cfg, oracle, M: CardinalityState(
+        oracle, cfg.k, cfg.epsilon, cfg.opt_value),
+    "card-ladder": lambda cfg, oracle, M: GuessLadder(
+        oracle, cfg.k, cfg.epsilon),
+    "matroid-half": lambda cfg, oracle, M: MatroidHalf(
+        oracle, M, BranchParams.standard(cfg.k, cfg.epsilon, cfg.opt_value),
+        mode=cfg.mode),
 }
 
 
@@ -200,7 +201,7 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
     it, one for the algorithm and one for harness metric probes.
     Returns (records, meta) with meta carrying the echoed config.
     """
-    cfg.check_stream(stream)
+    cfg.check_inputs(stream, matroid)
     ground_all = stream.elements()
     algo_oracle = CountedOracle(inner, ground_all)
     probe_oracle = CountedOracle(inner, ground_all)

@@ -79,16 +79,20 @@ class PartitionMatroid(_BaseMatroid):
         with open(path) as fh:
             if fh.readline().strip() != "partition":
                 raise ValueError("bad partition header")
-            for line in fh:
-                tok = line.split()
-                if not tok:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
                     continue
-                if tok[0] == "b" and len(tok) == 4 and tok[2] == "cap":
-                    caps[tok[1]] = int(tok[3])
-                elif tok[0] == "e" and len(tok) == 4 and tok[2] == "block":
-                    blocks[int(tok[1])] = tok[3]
-                else:
-                    raise ValueError(f"bad line: {line!r}")
+                try:
+                    tag, key, word, val = line.split()
+                    if (tag, word) == ("b", "cap"):
+                        caps[key] = int(val)
+                    elif (tag, word) == ("e", "block"):
+                        blocks[int(key)] = val
+                    else:
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(f"bad partition line {lineno}: "
+                                     f"{line.strip()!r}") from None
         return cls(blocks, caps)
 
 

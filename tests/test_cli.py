@@ -171,6 +171,57 @@ def test_bad_run_parameters_exit_1(argv, needle, capsys):
     assert needle in captured.err
 
 
+HALF_BENCH = ["bench", "--algo", "matroid-half", "--oracle", "random:6:5:0",
+              "--matroid", "uniform:2", "--k", "2", "--epsilon", "0.33"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (BENCH + ["--sweep", "algo=card-ladder,card"], "algo card needs"),
+    (BENCH + ["--sweep", "algo=card-ladder,matroid-half"], "needs a matroid"),
+    (HALF_BENCH + ["--k", "3", "--opt", "5",
+                   "--sweep", "mode=guided,exhaustive"], "branch tuples"),
+    (["bench", "--algo", "card", "--oracle", "random:6:5:0", "--k", "2",
+      "--epsilon", "0.5", "--sweep", "opt=5,0"], "0 < opt < inf"),
+    (HALF_BENCH + ["--sweep", "opt=5,0"], "0 < opt < inf"),
+])
+def test_bench_refuses_an_algorithm_input_before_the_first_run(argv, needle,
+                                                               capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert needle in err
+
+
+def test_run_refuses_a_matroid_for_the_ladder(capsys):
+    # the ladder runs under |S| <= k, so a probe under the matroid would
+    # measure it against another constraint's optimum
+    assert main(RUN + ["--k", "2", "--epsilon", "0.3", "--matroid",
+                       "uniform:1", "--checkpoint", "at-end"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "card-ladder takes no matroid" in err
+
+
+@pytest.mark.parametrize("line", ["b a cap x", "e y block 0", "e 0 blok 0"])
+def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
+    part = tmp_path / "part.matroid"
+    part.write_text(f"partition\nb 0 cap 2\n{line}\n")
+    assert main(HALF + ["--matroid", str(part), "--k", "2", "--epsilon", "0.3",
+                        "--opt", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert str(part) in err and f"line 3: {line!r}" in err
+
+
+@pytest.mark.parametrize("spec", ["uniform:abc", "uniform:", "uniform:-1"])
+def test_run_names_a_bad_uniform_spec(capsys, spec):
+    assert main(HALF + ["--matroid", spec, "--k", "2", "--epsilon", "0.3",
+                        "--opt", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert repr(spec) in err
+
+
 def test_bench_sweep(capsys):
     assert main(["bench", "--algo", "card-ladder",
                  "--oracle", "random:6:5:0", "--k", "2", "--epsilon", "0.5",

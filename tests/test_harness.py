@@ -84,6 +84,22 @@ def test_insertion_only_rejects_deletes():
     assert queried == []
 
 
+def test_a_matroid_is_refused_for_the_cardinality_algorithms():
+    # the probe would take OPT under the matroid and the ladder under
+    # |S| <= k; refused before the first round: no set is ever evaluated
+    queried = []
+
+    def f(S):
+        queried.append(S)
+        return float(len(S))
+
+    M = PartitionMatroid({0: 0, 1: 0}, {0: 1})
+    cfg = RunConfig(algo="card-ladder", k=2, epsilon=0.5)
+    with pytest.raises(ValueError, match="takes no matroid"):
+        run_stream(cfg, f, Stream.inserts([0, 1]), matroid=M)
+    assert queried == []
+
+
 @pytest.mark.parametrize("mode, opt", [("bogus", None), ("known", None)])
 def test_run_config_rejects_bad_opt_mode(mode, opt):
     with pytest.raises(ValueError, match="opt_mode"):
@@ -208,6 +224,15 @@ def _two_block_matroid(ground):
     return PartitionMatroid({e: e % 2 for e in ground}, {0: 1, 1: 2})
 
 
+def _algo_under(f, k, M):
+    """The algorithm for a run under M, which the probe uses too: the
+    ladder under |S| <= k alone, or matroid-half, whose opt_value f(V)
+    bounds OPT, so no guided L-pass leaves the tuple space."""
+    if M is None:
+        return dict(algo="card-ladder", k=k)
+    return dict(algo="matroid-half", k=k, opt_value=f(f.ground))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 9), items=st.integers(1, 10),
        seed=st.integers(0, 10 ** 6), k=st.integers(1, 3),
@@ -224,12 +249,12 @@ def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
     stream = Stream.inserts(order)
     M = _two_block_matroid(f.ground) if matroid else None
     constraint = dict(matroid=M) if matroid else dict(k=k)
-    cfg = RunConfig(algo="card-ladder", k=k, epsilon=0.25,
+    cfg = RunConfig(**_algo_under(f, k, M), epsilon=0.25,
                     checkpoint=checkpoint)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RunConfig, "brute_budget", budget)
         records, meta = run_stream(cfg, f, stream, matroid=M)
-    bound_cfg = RunConfig(algo="card-ladder", k=k, epsilon=0.25,
+    bound_cfg = RunConfig(**_algo_under(f, k, M), epsilon=0.25,
                           opt_mode="greedy-bound", checkpoint=checkpoint)
     bounds, _ = run_stream(bound_cfg, f, stream, matroid=M)
     refused = False
@@ -265,7 +290,7 @@ def test_every_round_probe_walks_each_feasible_set_once(monkeypatch, matroid):
     monkeypatch.setattr(harness, "brute_force_opt", tracked)
     order = sorted(f.ground)
     random.Random(7).shuffle(order)
-    cfg = RunConfig(algo="card-ladder", k=3, epsilon=0.25)
+    cfg = RunConfig(**_algo_under(f, 3, M), epsilon=0.25)
     records, meta = run_stream(cfg, inner, Stream.inserts(order), matroid=M)
     assert len(records) == 10 and not meta["opt_is_bound"]
     feasible = [frozenset(c) for j in range(4)
