@@ -11,8 +11,8 @@ import sys
 from dataclasses import fields
 
 from dynsub import hard_bipartite, hard_tree
-from dynsub.harness import (OPT_MODES, RunConfig, emit_report, parse_config,
-                            run_stream)
+from dynsub.harness import (MODES, OPT_MODES, RunConfig, emit_report,
+                            parse_config, run_stream)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.oracle import InvariantError
@@ -157,7 +157,7 @@ def _add_run_flags(p):
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--opt", dest="opt_value", type=float, metavar="OPT")
     p.add_argument("--opt-mode", dest="opt_mode", choices=OPT_MODES)
-    p.add_argument("--mode", choices=["guided", "exhaustive"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--checkpoint")
     p.add_argument("--seed", type=int)
 

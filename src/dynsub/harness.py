@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 from typing import ClassVar
 
 from dynsub.cardinality import CardinalityState, GuessLadder
-from dynsub.matroid_dynamic import (BranchParams, MatroidHalf,
+from dynsub.matroid_dynamic import (MODES, BranchParams, MatroidHalf,
                                     enumerate_branches)
 # unused here, but perfbench/tracer.py wraps these names on this module
 from dynsub.matroid_dynamic import reference_lpass, run_prune_greedy  # noqa: F401
@@ -50,7 +50,7 @@ class RunConfig:
     opt_mode: str = "brute-force"  # one of OPT_MODES
     opt_value: float | None = None
     checkpoint: str = "every-round"  # every-round | every-n:<n> | at-end
-    mode: str = "guided"  # matroid-half: guided | exhaustive
+    mode: str = "guided"  # one of MODES; only matroid-half has exhaustive
     seed: int = 0
 
     brute_budget: ClassVar[int] = 10 ** 6  # most sets a brute-force probe walks
@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError(f"bad opt_mode {self.opt_mode!r}")
         if self.opt_mode == "known" and self.opt_value is None:
             raise ValueError("opt_mode known needs opt_value")
+        if self.mode not in MODES:
+            raise ValueError(f"bad mode {self.mode!r}: one of {MODES}")
 
     def check_inputs(self, stream: Stream, matroid=None) -> None:
         """Refuses, before any query, a run its inputs show cannot be made.
@@ -77,6 +79,13 @@ class RunConfig:
         if not stream.insertion_only:
             raise UnsupportedOpError(f"algorithm {self.algo} is "
                                      f"insertion-only; the stream has deletions")
+        if self.algo != "matroid-half" and self.mode != "guided":
+            raise ValueError(f"algo {self.algo} has no mode {self.mode}; "
+                             f"only matroid-half has one")
+        if (self.algo == "card-ladder" and self.opt_value is not None
+                and self.opt_mode != "known"):
+            raise ValueError(f"algo card-ladder ignores opt_value unless "
+                             f"opt_mode is known, got {self.opt_mode}")
         if self.algo == "matroid-half" and matroid is None:
             raise ValueError("algo matroid-half needs a matroid")
         if self.algo != "matroid-half" and matroid is not None:

@@ -23,11 +23,13 @@ import math
 from dataclasses import dataclass
 
 from dynsub.matroids import ConvexCombo, swap_round
-from dynsub.objectives import multilinear_exact, plus_direction
+from dynsub.objectives import (multilinear_exact, multilinear_shifts,
+                               plus_direction)
 from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
                            InvariantError, best_of, brute_force_opt)
 
 BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
+MODES = ("guided", "exhaustive")  # of MatroidHalf
 
 
 @dataclass(frozen=True)
@@ -297,8 +299,8 @@ class MatroidHalf:
 
     def __init__(self, oracle: CountedOracle, M, params: BranchParams,
                  mode: str = "guided"):
-        if mode not in ("guided", "exhaustive"):
-            raise ValueError(f"bad mode {mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"bad mode {mode!r}: one of {MODES}")
         self.oracle = oracle
         self.M = M
         self.params = params
@@ -352,7 +354,9 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
 
     Each stage tau maximizes g(S) = F(x + S/m) - F(x) with the pruned
     greedy at a geometric guess of the residual optimum, then commits
-    S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact).
+    S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact);
+    for a coverage f, g recomputes only the terms of F(x) that S changes
+    (see multilinear_shifts).
     The offline optimum is brute-forced to pick each stage guess, and
     each stage runs guided MatroidHalf over the elements, rather than
     enumerating the guess grid and the branch tuples.
@@ -371,11 +375,9 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
     stage_sets, stage_guesses = [], []
     for _tau in range(m):
         base_F = multilinear_exact(f, x)
-
-        def g_inner(S, _x=dict(x), _base=base_F):
-            return multilinear_exact(f, plus_direction(_x, S, 1.0 / m)) - _base
-
-        g = CountedOracle(g_inner, ground)
+        shifted = multilinear_shifts(f, x, 1.0 / m)
+        g = CountedOracle(lambda S, _F=shifted, _base=base_F: _F(S) - _base,
+                          ground)
         v = g.eval(opt_set)
         d_tau = 0.0
         for j in range(depth + 1):

@@ -6,7 +6,9 @@ omitted coordinates are 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 
 from dynsub.oracle import CountedOracle, EnumerationBudgetError
@@ -151,6 +153,59 @@ def plus_direction(x, S, step: float):
     return out
 
 
+def _in_order(terms, total: float = 0.0) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right; the
+    built-in sum() compensates from Python 3.12 and would round
+    differently."""
+    return functools.reduce(operator.add, terms, total)
+
+
+def _item_term(w: float, elements, x) -> float:
+    """An item's term w * (1 - prod(1 - x_e)) of the coverage F(x),
+    factors in the order of `elements` (ascending id)."""
+    miss = 1.0
+    for e in elements:
+        miss *= 1.0 - x.get(e, 0.0)
+    return w * (1.0 - miss)
+
+
+def _coverage_terms(f: CoverageFunction, x) -> list:
+    """The per-item terms of the coverage F(x), in universe order."""
+    return [_item_term(w, elements, x)
+            for (_, w), elements in zip(f.universe, f.coverers())]
+
+
+def multilinear_shifts(f, x, step: float):
+    """S -> F(plus_direction(x, S, step)), equal bit for bit to
+    multilinear_exact at that point.
+
+    For a CoverageFunction the terms of F(x) are computed once; a call
+    recomputes only the terms of the items S covers, the only ones whose
+    factors change, and adds every term in universe order, starting from
+    the left-to-right partial sum before the first recomputed one.
+    """
+    _validate_point(x)
+    x = plus_direction(x, (), step)  # a copy; refuses a step outside (0, 1]
+    if not isinstance(f, CoverageFunction):
+        return lambda S: multilinear_exact(f, plus_direction(x, S, step))
+    terms = _coverage_terms(f, x)
+    partial = list(itertools.accumulate(terms, initial=0.0))
+    weight_at, coverers, positions = f._weight_at, f.coverers(), f._positions
+
+    def shifted(S) -> float:
+        hit = sorted(set().union(*map(positions.__getitem__, S)))
+        if not hit:
+            return partial[-1]
+        x_new = plus_direction(x, S, step)
+        first = hit[0]
+        tail = terms[first:]
+        for i in hit:
+            tail[i - first] = _item_term(weight_at[i], coverers[i], x_new)
+        return _in_order(tail, partial[first])
+
+    return shifted
+
+
 def multilinear_exact(f, x) -> float:
     """Exact multilinear extension F(x).
 
@@ -161,13 +216,7 @@ def multilinear_exact(f, x) -> float:
     if isinstance(f, CoverageFunction):
         # items in universe order, factors in ascending element id: the
         # float result depends on this order (see README, determinism)
-        total = 0.0
-        for (_, w), elements in zip(f.universe, f.coverers()):
-            miss = 1.0
-            for e in elements:
-                miss *= 1.0 - x.get(e, 0.0)
-            total += w * (1.0 - miss)
-        return total
+        return _in_order(_coverage_terms(f, x))
 
     support = sorted(e for e, p in x.items() if p > 0.0)
     if len(support) > BRUTE_FORCE_SUPPORT:

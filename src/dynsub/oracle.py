@@ -145,6 +145,11 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
     `prev.count` plus the sets walked now under a matroid, checked as
     the walk goes.  Over `budget` the call refuses (never approximates)
     with EnumerationBudgetError.
+
+    Under a matroid a walk with new elements makes one independence
+    query per element of `ground` for its rank (see _sets_through), one
+    per new element for its singleton, and one per candidate it adds to
+    an independent set smaller than the rank.
     """
     if (k is None) == (matroid is None):
         raise ValueError("specify exactly one of k / matroid")
@@ -184,7 +189,16 @@ def _sets_through(new: list, old: list, k: int | None, matroid):
     once: those whose first element of `new` is new[i] are new[i] plus
     a subset of old + new[i+1:].  Under a matroid that subset grows by a
     DFS in pool order that prunes dependent prefixes, which downward
-    closure makes exact."""
+    closure makes exact.  The DFS does not grow a set of size r, the
+    rank of old + new: no independent set is larger.  r is the size of
+    a greedy basis, which costs one independence query per element of
+    old + new."""
+    if k is None and new:
+        basis: set = set()
+        for e in old + new:
+            if matroid.is_independent(basis | {e}):
+                basis.add(e)
+        rank = len(basis)
     for i, e in enumerate(new):
         pool = old + new[i + 1:]
         root = frozenset((e,))
@@ -198,6 +212,8 @@ def _sets_through(new: list, old: list, k: int | None, matroid):
         while stack:
             S, start = stack.pop()
             yield S
+            if len(S) == rank:
+                continue
             for j in range(len(pool) - 1, start - 1, -1):
                 cand = S | {pool[j]}
                 if matroid.is_independent(cand):

@@ -66,3 +66,35 @@ def test_stage_guesses_on_grid():
         j = math.log(opt / d) / math.log1p(0.25)
         assert abs(j - round(j)) < 1e-6
         assert round(j) <= cfg.guess_depth()
+
+
+# outputs recorded when every stage gain ran the full F(x) formula and
+# the brute force grew sets past the rank; the kernels that skip that
+# work must give them bit for bit
+PINNED = {
+    (1, 4): dict(
+        x={2: 1.0, 4: 1.0, 5: 1.0, 9: 0.75},
+        stage_sets=[{2, 4, 5, 9}, {2, 4, 5, 9}, {2, 4, 5, 9}, {2, 4, 5}],
+        stage_guesses=[2.2937600000000002, 1.835008, 1.17440512,
+                       0.7516192768000001],
+        rounded={2, 4, 5, 9}, value="7.0"),
+    (3, 3): dict(
+        x={1: 1.0, 3: 0.3333333333333333, 5: 0.6666666666666666, 8: 1.0,
+           9: 0.6666666666666666},
+        stage_sets=[{1, 3, 5, 8}, {1, 5, 8, 9}, {1, 8, 9}],
+        stage_guesses=[3.2768, 1.6777216, 1.073741824],
+        rounded={1, 3, 5, 8}, value="7.666666666666666"),
+}
+
+
+@pytest.mark.parametrize("seed, m", sorted(PINNED))
+def test_amplifier_output_is_pinned(seed, m):
+    f, M = desk_instance(seed)
+    res = amplified_run(sorted(f.ground), M, f,
+                        AmplifierConfig(m=m, epsilon=0.25), k=4, seed=seed)
+    pin = PINNED[seed, m]
+    assert res.x == pin["x"]
+    assert res.stage_sets == pin["stage_sets"]
+    assert res.stage_guesses == pin["stage_guesses"]
+    assert res.rounded == pin["rounded"]
+    assert repr(res.value) == pin["value"]

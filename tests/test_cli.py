@@ -202,6 +202,31 @@ def test_run_refuses_a_matroid_for_the_ladder(capsys):
     assert "card-ladder takes no matroid" in err
 
 
+@pytest.mark.parametrize("extra, needle", [
+    (["--mode", "exhaustive"], "algo card-ladder has no mode exhaustive"),
+    (["--opt", "3"], "ignores opt_value unless opt_mode is known"),
+    (["--mode", "exhaustive", "--opt", "3"], "has no mode exhaustive"),
+    (["--opt-mode", "greedy-bound", "--opt", "3"], "got greedy-bound"),
+    (["--algo", "card", "--opt", "3", "--mode", "exhaustive"],
+     "algo card has no mode exhaustive; only matroid-half has one"),
+])
+def test_run_refuses_a_flag_the_algorithm_would_ignore(extra, needle, capsys):
+    # a repeated --algo overrides the card-ladder of RUN
+    assert main(RUN + ["--k", "2", "--epsilon", "0.3", "--checkpoint",
+                       "at-end"] + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert needle in err
+
+
+def test_run_ladder_takes_opt_with_opt_mode_known(capsys):
+    # five items, so 5 bounds OPT
+    assert main(RUN + ["--k", "2", "--epsilon", "0.3", "--opt-mode", "known",
+                       "--opt", "5", "--mode", "guided", "--checkpoint",
+                       "at-end"]) == 0
+    assert "opt=5 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", ["b a cap x", "e y block 0", "e 0 blok 0"])
 def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
     part = tmp_path / "part.matroid"

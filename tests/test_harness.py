@@ -107,6 +107,36 @@ def test_run_config_rejects_bad_opt_mode(mode, opt):
                   opt_value=opt)
 
 
+@pytest.mark.parametrize("algo", ["card", "card-ladder"])
+def test_run_config_rejects_a_bad_mode(algo):
+    with pytest.raises(ValueError, match="bad mode 'fast'"):
+        RunConfig(algo=algo, k=2, epsilon=0.3, opt_value=3.0, mode="fast")
+
+
+@pytest.mark.parametrize("fields, needle", [
+    (dict(algo="card", opt_value=3.0, mode="exhaustive"),
+     "algo card has no mode exhaustive"),
+    (dict(algo="card-ladder", mode="exhaustive"),
+     "algo card-ladder has no mode exhaustive"),
+    (dict(algo="card-ladder", opt_value=3.0),
+     "ignores opt_value unless opt_mode is known, got brute-force"),
+    (dict(algo="card-ladder", opt_value=3.0, opt_mode="greedy-bound"),
+     "got greedy-bound"),
+])
+def test_a_setting_the_algorithm_would_ignore_is_refused(fields, needle):
+    # refused before the first round: no set is ever evaluated
+    queried = []
+
+    def f(S):
+        queried.append(S)
+        return float(len(S))
+
+    cfg = RunConfig(k=2, epsilon=0.3, **fields)
+    with pytest.raises(ValueError, match=needle):
+        run_stream(cfg, f, Stream.inserts([0, 1]))
+    assert queried == []
+
+
 def test_csv_shape_and_json_round_trip(tmp_path):
     f = ModularFunction({0: 2.0, 1: 1.0})
     cfg = RunConfig(algo="card-ladder", k=1, epsilon=0.5)
@@ -199,10 +229,9 @@ def test_matroid_half_exhaustive_dominates_guided():
     assert len(values["guided"]) == len(stream)
     assert all(ve >= vg - 1e-12
                for vg, ve in zip(values["guided"], values["exhaustive"]))
-    cfg = RunConfig(algo="matroid-half", k=2, epsilon=0.5, opt_value=opt,
-                    mode="fast")
     with pytest.raises(ValueError, match="bad mode 'fast'"):
-        run_stream(cfg, f, stream, matroid=M)
+        RunConfig(algo="matroid-half", k=2, epsilon=0.5, opt_value=opt,
+                  mode="fast")
 
 
 def test_greedy_bound_under_a_matroid_is_certified():

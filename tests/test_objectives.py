@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsub.objectives import (CoverageFunction, multilinear_exact,
-                               plus_direction, random_coverage)
+                               multilinear_shifts, plus_direction,
+                               random_coverage)
 from dynsub.oracle import EnumerationBudgetError
 
 
@@ -98,12 +99,65 @@ def test_indexed_coverage_bit_identical_to_universe_scan(case):
             assert _same(multilinear_exact(h, x), _reference_multilinear(f, x))
 
 
+@st.composite
+def _shift_cases(draw):
+    f = random_coverage(draw(st.integers(1, 16)), draw(st.integers(1, 12)),
+                        seed=draw(st.integers(0, 10 ** 6)),
+                        weighted=draw(st.booleans()))
+    ids = sorted(f.ground)
+    # decimals such as 0.18 make a product of three factors order-sensitive
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                      st.integers(1, 999).map(lambda i: i / 1000))
+    x = draw(st.dictionaries(st.sampled_from(ids), coord))
+    # S may be empty and may hold elements x already puts at 1
+    sets = draw(st.lists(st.frozensets(st.sampled_from(ids)), min_size=1,
+                         max_size=6))
+    return f, x, sets, 1.0 / draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shift_cases())
+def test_multilinear_shifts_bit_identical_to_the_full_formula(case):
+    f, x, sets, step = case
+    shifted = multilinear_shifts(f, x, step)
+    for S in sets:
+        assert _same(shifted(S), multilinear_exact(f, plus_direction(x, S, step)))
+
+
+def test_multilinear_shifts_copies_x_and_checks_its_inputs():
+    f = random_coverage(4, 6, seed=0, weighted=True)
+    x = {0: 0.5}
+    shifted = multilinear_shifts(f, x, 0.5)
+    x[0] = 1.0  # a later change to x does not reach the shifts
+    assert _same(shifted({0}), multilinear_exact(f, {0: 1.0}))
+    assert _same(shifted(set()), multilinear_exact(f, {0: 0.5}))
+    with pytest.raises(ValueError, match="step"):
+        multilinear_shifts(f, {}, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        multilinear_shifts(f, {0: 1.5}, 0.5)
+
+
+def test_multilinear_shifts_of_a_plain_set_function():
+    f = random_coverage(5, 6, seed=1, weighted=True)
+    x = {0: 0.3, 2: 1.0, 4: 0.7}
+    shifted = multilinear_shifts(f, x, 0.25)
+    for S in ({0}, {1, 2}, {0, 3, 4}):
+        y = plus_direction(x, S, 0.25)
+        assert _same(shifted(S), multilinear_exact(lambda T: f(T), y))
+
+
 def test_multilinear_factor_order_is_ascending_id():
     # this float product depends on the order of its factors
     f = CoverageFunction([("b", 2.0), ("a", 1.0)],
                          {2: {"a"}, 0: {"a", "b"}, 1: {"a"}})
     x = {1: 0.18, 2: 0.1, 0: 0.12}
     assert _same(multilinear_exact(f, x), _reference_multilinear(f, x))
+    # and so do the patched terms of a shifted point
+    for S in ({0}, {1}, {2}, {0, 1}):
+        for m in range(1, 6):
+            y = plus_direction(x, S, 1.0 / m)
+            assert _same(multilinear_shifts(f, x, 1.0 / m)(S),
+                         _reference_multilinear(f, y))
 
 
 def test_unknown_cover_item_rejected():

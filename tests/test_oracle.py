@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
-                           brute_force_opt, check_submodular_monotone)
+                           _sets_through, brute_force_opt,
+                           check_submodular_monotone)
 from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
-from dynsub.matroids import PartitionMatroid
+from dynsub.matroids import PartitionMatroid, UniformMatroid
 
 
 def small_coverage():
@@ -68,7 +71,6 @@ def test_brute_force_matroid_matches_filtered_enumeration():
     S, v = brute_force_opt(f.as_oracle(), matroid=M)
     assert M.is_independent(S)
     # cross-check against cardinality enumeration filtered by independence
-    import itertools
     best = 0.0
     for r in range(4):
         for tup in itertools.combinations(range(8), r):
@@ -140,3 +142,59 @@ def test_brute_force_dominates_greedy_spotcheck():
         _, gv = offline_greedy(f.as_oracle(), f.ground, k=3)
         _, bv = brute_force_opt(f.as_oracle(), k=3)
         assert bv >= gv - 1e-12
+
+
+# blocks whose ids interleave, one of them with cap 0
+_BLOCKS = {0: "a", 1: "b", 2: "z", 3: "a", 4: "b", 5: "a", 6: "z", 7: "b",
+           8: "a"}
+WALK_MATROIDS = {
+    "uniform-0": lambda: UniformMatroid(0, range(9)),
+    "uniform-2": lambda: UniformMatroid(2, range(9)),
+    "uniform-9": lambda: UniformMatroid(9, range(9)),
+    "partition": lambda: PartitionMatroid(_BLOCKS, {"a": 2, "b": 1, "z": 0}),
+    "partition-all-0": lambda: PartitionMatroid(_BLOCKS,
+                                                {"a": 0, "b": 0, "z": 0}),
+}
+# (old, new): the walked ground is old + new, as brute_force_opt splits it
+WALK_SPLITS = [([], list(range(9))), ([0, 2, 5], [1, 3, 4, 6, 7, 8]),
+               ([1, 3, 4, 6, 7, 8], [0, 2, 5]), (list(range(8)), [8]),
+               (list(range(9)), [])]
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MATROIDS))
+@pytest.mark.parametrize("old, new", WALK_SPLITS)
+def test_matroid_walk_yields_each_independent_set_through_new_once(
+        name, old, new):
+    M = WALK_MATROIDS[name]()
+    walked = [tuple(sorted(S)) for S in _sets_through(new, old, None, M)]
+    expected = {tup for r in range(1, 10)
+                for tup in itertools.combinations(sorted(old + new), r)
+                if set(tup) & set(new) and M.is_independent(tup)}
+    assert len(walked) == len(set(walked))
+    assert set(walked) == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MATROIDS))
+def test_matroid_resume_matches_a_walk_from_scratch(name):
+    f = random_coverage(9, 10, seed=11, weighted=True)
+    full = brute_force_opt(f.as_oracle(), matroid=WALK_MATROIDS[name]())
+    for cuts in ((9,), (4, 9), (1, 5, 8, 9), (0, 9)):
+        prev = None
+        M = WALK_MATROIDS[name]()
+        for t in cuts:
+            prev = brute_force_opt(f.as_oracle(), ground=range(t), matroid=M,
+                                   prev=prev)
+        assert (prev[0], repr(prev[1]), prev.count) == \
+            (full[0], repr(full[1]), full.count)
+
+
+def test_matroid_walk_stops_at_the_rank():
+    # 40 elements in 3 blocks of cap 1: 2,940 independent sets.  A walk
+    # that tries to grow the sets of size 3 too makes 20,580 queries.
+    f = random_coverage(40, 300, seed=1000, weighted=True)
+    M = PartitionMatroid({e: e * 3 // 40 for e in range(40)},
+                         {0: 1, 1: 1, 2: 1})
+    o = f.as_oracle()
+    opt = brute_force_opt(o, matroid=M)
+    assert (opt.count, o.count) == (2940, 2940)
+    assert M.query_count == 6424
