@@ -123,19 +123,23 @@ class BipartiteInstance:
         # a seeded shuffle of each block's slot list
         self.slot: dict[int, tuple[str, int, int]] = {}  # id -> (side, block, color)
         self.ids: dict[tuple[str, int, int], list[int]] = {}  # slot -> ids
-        # id -> ((side, block), color - 1): where _factors counts the id
-        self._cell: dict[int, tuple[tuple[str, int], int]] = {}
-        nid = 0
+        # id -> the index of its cell, the color class _factors counts it
+        # in; cell c is ((side, block), color - 1) = self._cells[c], cells
+        # in the order the loop below lays out the blocks
+        self._cell: dict[int, int] = {}
+        self._cells = [((side, i), j) for side in "AB"
+                       for i in range(1, m + 1) for j in range(w)]
+        nid, base = 0, -1  # color j of the block is cell base + j
         for side, size in (("A", self.a_class), ("B", self.b_class)):
             for i in range(1, m + 1):
                 slots = [j for j in range(1, w + 1) for _ in range(size)]
                 rng.shuffle(slots)
-                cells = [((side, i), j) for j in range(w)]
                 for j in slots:
                     self.slot[nid] = key = (side, i, j)
                     self.ids.setdefault(key, []).append(nid)
-                    self._cell[nid] = cells[j - 1]
+                    self._cell[nid] = base + j
                     nid += 1
+                base += w
         self.n = nid
         self.ground = frozenset(range(nid))
         # a color load is its count over the class size
@@ -144,6 +148,9 @@ class BipartiteInstance:
         # never exceed a class size, so this holds at most
         # (a_class+1)^w + (b_class+1)^w entries per block function
         self.block_memo: dict = {}
+        # cell_key(S) -> bipartite_eval(S); one entry per count vector
+        # evaluated
+        self.value_memo: dict = {}
 
     def block(self, side: str, i: int) -> list[int]:
         return [e for j in range(1, self.w + 1) for e in self.ids[(side, i, j)]]
@@ -178,17 +185,25 @@ def _g_value(inst: BipartiteInstance, x) -> float:
     return _g_block(x, inst.w)
 
 
-def _factors(inst: BipartiteInstance, S, block_fn, pi=None):
+def cell_key(inst: BipartiteInstance, S) -> tuple:
+    """The sorted cell indices of the elements of S, a set.  Two sets
+    have the same key exactly when they hold as many elements in each
+    (side, block, color) class, which fixes every value of S."""
+    return tuple(sorted(map(inst._cell.__getitem__, S)))
+
+
+def _factors(inst: BipartiteInstance, cells, block_fn, pi=None):
     """beta (1 - b(y_pi(i))) + (1 - beta) (1 - b(z_i)) for i = 1..m, with
-    b = block_fn; S is counted once, and each block value comes from the
-    instance's memo.  S must hold no id twice."""
+    b = block_fn, for the set whose elements lie in `cells` (cell
+    indices, one per element); each block value comes from the
+    instance's memo."""
     if pi is None:
         pi = inst.pi
     elif not pi.keys() == set(pi.values()) == inst.pi.keys():
         raise ValueError("pi must pair the m blocks of each side one to one")
     touched: dict = {}  # (side, block) -> per-color counts of S
-    for e in S:
-        blk, j = inst._cell[e]
+    for cell in cells:
+        blk, j = inst._cells[cell]
         c = touched.get(blk)
         if c is None:
             c = touched[blk] = [0] * inst.w
@@ -205,13 +220,20 @@ def _factors(inst: BipartiteInstance, S, block_fn, pi=None):
 
 
 def bipartite_eval(inst: BipartiteInstance, S) -> float:
-    """Exact hidden-pairing objective via the per-index factorization."""
-    S = frozenset(S)
-    fac = _factors(inst, S, _fhat_value)
-    prod = 1.0
-    for t in fac:
-        prod *= t
-    return min(1.0 - prod + inst.eps * len(S) / inst.k, 1.0)
+    """Exact hidden-pairing objective via the per-index factorization.
+
+    The value depends on S only through its count vector, so it is
+    computed once per `cell_key` and read from the instance's
+    `value_memo` after that."""
+    key = cell_key(inst, frozenset(S))
+    v = inst.value_memo.get(key)
+    if v is None:
+        prod = 1.0
+        for t in _factors(inst, key, _fhat_value):
+            prod *= t
+        v = inst.value_memo[key] = min(
+            1.0 - prod + inst.eps * len(key) / inst.k, 1.0)
+    return v
 
 
 def bipartite_eval_bruteforce(inst: BipartiteInstance, S) -> float:
@@ -243,7 +265,7 @@ def symmetric_eval(inst: BipartiteInstance, S, pi=None) -> float:
     producing the same factor multiset give bit-identical values.
     """
     S = frozenset(S)
-    fac = _factors(inst, S, _g_value, pi=pi)
+    fac = _factors(inst, cell_key(inst, S), _g_value, pi=pi)
     prod = 1.0
     for t in sorted(fac):
         prod *= t

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 from dynsub.oracle import InvariantError
 from dynsub.streams import Stream, StreamOp, INSERT, DELETE
@@ -105,12 +106,16 @@ class ShuffledTreeInstance:
         self.tab = weight_sequence(self.L)
         # pi: internal node -> {child index -> permuted index}, the identity
         # where the caller gives no entry; element ids go in BFS node order.
-        # Per element: the node pi^{-1}(owner) whose load it adds to in
-        # tree_F_eval
+        # Per element: the index of the node pi^{-1}(owner) whose load it
+        # adds to in tree_F_eval; node index i is self._nodes[i]
         given = pi or {}
         self.pi: dict = {}
         self.base_id: dict = {}
-        self._load_node: dict = {}
+        self._load_node: dict[int, int] = {}
+        self._nodes: list[tuple] = []
+        # node_key(S) -> tree_F_eval(S); one entry per count vector
+        # evaluated
+        self.value_memo: dict = {}
         nid = 0
         frontier = [()]
         for m in arities:
@@ -125,13 +130,16 @@ class ShuffledTreeInstance:
                     raise ValueError(f"pi at node {u} is not a permutation "
                                      f"of its children")
                 self.pi[u] = b
+                # child i of u will be node base + i
+                base = len(self._nodes) + len(nxt) - 1
                 for i in kids:
-                    v, load = u + (i,), u + (inv[i],)
+                    v, load = u + (i,), base + inv[i]
                     self.base_id[v] = nid
                     for e in range(nid, nid + self.w):
                         self._load_node[e] = load
                     nid += self.w
                     nxt.append(v)
+            self._nodes += nxt
             frontier = nxt
         unknown = given.keys() - self.pi.keys()
         if unknown:
@@ -222,19 +230,28 @@ def tree_G_exact(inst: ShuffledTreeInstance, x: dict) -> float:
     return 1.0 - prod
 
 
+def node_key(inst: ShuffledTreeInstance, S) -> tuple:
+    """The sorted load-node indices of the elements of S, a set.  Two
+    sets have the same key exactly when they put the same load on every
+    node."""
+    return tuple(sorted(map(inst._load_node.__getitem__, S)))
+
+
 def tree_F_eval(inst: ShuffledTreeInstance, S) -> float:
     """min{ G(x^{rho_pi(S)}) + eps|S|/k, 1 }.
 
     rho_pi sends element a_{u,i} to a_{pi^{-1}(u),i}, so the load of
-    node v is the count of S in A_{pi(v)}.
+    node v is the count of S in A_{pi(v)}.  The value depends on S only
+    through these counts, so it is computed once per `node_key` and read
+    from the instance's `value_memo` after that.
     """
-    S = frozenset(S)
-    counts: dict = {}
-    for e in S:
-        v = inst._load_node[e]
-        counts[v] = counts.get(v, 0) + 1
-    x = {v: c / inst.w for v, c in counts.items()}
-    return min(tree_G_exact(inst, x) + inst.eps * len(S) / inst.k, 1.0)
+    key = node_key(inst, frozenset(S))
+    val = inst.value_memo.get(key)
+    if val is None:
+        x = {inst._nodes[i]: c / inst.w for i, c in Counter(key).items()}
+        val = inst.value_memo[key] = min(
+            tree_G_exact(inst, x) + inst.eps * len(key) / inst.k, 1.0)
+    return val
 
 
 def traverse_stream(inst: ShuffledTreeInstance, d: int) -> Stream:

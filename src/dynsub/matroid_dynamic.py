@@ -155,6 +155,14 @@ class PruneGreedyState:
         return frozenset(self._in_S)
 
     def check_budget_semantics(self) -> None:
+        """The level invariants, and the per-branch query ceiling
+        4*L*inserts + 2: an insert tests its element once and each of
+        fewer than L level advances rescans the history, at 2 charged
+        queries a test."""
+        ceiling = 4 * self.params.L * len(self.history) + 2
+        if self.charged > ceiling:
+            raise InvariantError(f"charged {self.charged} queries, over the "
+                                 f"ceiling 4*L*inserts + 2 = {ceiling}")
         if self.terminated:
             bad = [i + 1 for i, b in enumerate(self.c) if b > 0.0 and self.a[i] > 0]
             if self.ell is not None and bad:

@@ -172,6 +172,7 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
         best_set, best_val = frozenset(), oracle.eval(frozenset())
     else:
         best_set, best_val = prev
+    best_ids = sorted(best_set)  # the tie-break key, sorted once per incumbent
     for S in _sets_through(new, old, k, matroid):
         if k is None:
             count += 1
@@ -179,8 +180,10 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
                 raise EnumerationBudgetError(
                     f"independent-set walk exceeds budget {budget}")
         v = oracle.eval(S)
-        if v > best_val or (v == best_val and sorted(S) < sorted(best_set)):
-            best_set, best_val = S, v
+        if v >= best_val:
+            ids = sorted(S)
+            if v > best_val or ids < best_ids:
+                best_set, best_val, best_ids = S, v, ids
     return Optimum(best_set, best_val, ground, count)
 
 

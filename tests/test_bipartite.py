@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams, analytic_F,
                                    analytic_Q, bipartite_descriptor,
                                    bipartite_eval, bipartite_eval_bruteforce,
                                    bipartite_from_descriptor, bipartite_stream,
-                                   fhat, is_balanced, phi, symmetric_eval,
-                                   verify_bipartite, _g_block)
+                                   cell_key, fhat, is_balanced, phi,
+                                   symmetric_eval, verify_bipartite, _g_block)
 from dynsub.oracle import (CountedOracle, InvariantError, brute_force_opt,
                            check_submodular_monotone)
 from dynsub.streams import DELETE, INSERT
@@ -261,6 +263,59 @@ def test_block_memo_belongs_to_its_instance():
     assert a == literal_bipartite(lo, S) and b == literal_bipartite(hi, S)
     assert lo.block_memo.keys() == hi.block_memo.keys()
     assert lo.block_memo != hi.block_memo
+    assert lo.value_memo == {cell_key(lo, S): a}
+    assert hi.value_memo == {cell_key(hi, S): b}
+
+
+def small_sets(inst, most):
+    """Every set of at most `most` ids, by size, then lexicographically:
+    isomorphic sets recur, as in a brute-force walk."""
+    ids = sorted(inst.ground)
+    return [frozenset(c) for j in range(most + 1)
+            for c in itertools.combinations(ids, j)]
+
+
+def count_vector(inst, S):
+    return frozenset(Counter(inst.slot[e] for e in S).items())
+
+
+def test_value_memo_is_exact_in_walk_order():
+    inst = BipartiteInstance(m=2, k=4, w=2, eps=0.33, seed=3)
+    sets = small_sets(inst, 4)
+    for S in sets:  # a later set hits the entry of an earlier isomorphic one
+        assert bipartite_eval(inst, S) == literal_bipartite(inst, S)
+        assert symmetric_eval(inst, S) == literal_symmetric(inst, S)
+    # one entry per count vector evaluated, far fewer than the evaluations
+    vectors = {count_vector(inst, S) for S in sets}
+    assert len(inst.value_memo) == len(vectors) < len(sets) == 2517
+
+
+def test_cell_key_is_the_count_vector():
+    inst = BipartiteInstance(m=2, k=4, w=2, eps=0.33, seed=3)
+    vector_of: dict = {}  # key -> the count vectors of the sets with it
+    for S in small_sets(inst, 4):
+        vector_of.setdefault(cell_key(inst, S), set()).add(
+            count_vector(inst, S))
+    # one vector per key, and distinct keys for distinct vectors
+    assert all(len(v) == 1 for v in vector_of.values())
+    assert len(set().union(*vector_of.values())) == len(vector_of)
+
+
+def test_brute_force_tie_goes_to_the_smallest_id_tuple():
+    inst = BipartiteInstance(m=2, k=4, w=2, eps=0.33, seed=5)
+    f = lambda S: bipartite_eval(inst, S)
+    values = {tuple(sorted(S)): f(S) for S in small_sets(inst, inst.k)}
+    opt = max(values.values())
+    ties = [ids for ids, v in values.items() if v == opt]
+    assert opt == 1.0 and len(ties) == 1236  # the value cap, reached often
+    scratch = brute_force_opt(CountedOracle(f, inst.ground), k=inst.k)
+    assert tuple(sorted(scratch[0])) == min(ties) and scratch[1] == opt
+    order = sorted(inst.ground)
+    random.Random(5).shuffle(order)  # a walk order unlike the sorted one
+    oracle, res = CountedOracle(f, inst.ground), None
+    for t in range(1, len(order) + 1):
+        res = brute_force_opt(oracle, ground=order[:t], k=inst.k, prev=res)
+    assert res[0] == scratch[0] and repr(res[1]) == repr(scratch[1])
 
 
 def test_symmetric_eval_refuses_a_pi_that_is_no_pairing():

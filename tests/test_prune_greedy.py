@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -159,8 +160,24 @@ def test_amortized_query_bound():
         res = reference_lpass(order, oracle, M, params)
         before = oracle.count
         st = run_prune_greedy(order, oracle, M, params, res.a_star)
-        assert st.charged <= 4 * params.L * len(st.history) + 2
+        st.check_budget_semantics()  # charged <= 4*L*inserts + 2
         assert oracle.count - before <= st.charged
+
+
+def test_budget_check_refuses_a_branch_over_its_query_ceiling():
+    f, M, order = random_partition_instance(200)
+    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    params = BranchParams.standard(4, 0.33, opt)
+    st = run_prune_greedy(order, f.as_oracle(), M, params, (1,) * params.L)
+    st.check_budget_semantics()
+    ceiling = 4 * params.L * len(st.history) + 2
+    assert 0 < st.charged <= ceiling
+    st.charged = ceiling
+    st.check_budget_semantics()
+    st.charged = ceiling + 1
+    with pytest.raises(InvariantError, match=re.escape(
+            f"ceiling 4*L*inserts + 2 = {ceiling}")):
+        st.check_budget_semantics()
 
 
 def test_guided_never_beats_exhaustive():

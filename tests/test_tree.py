@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsub.hard_tree import (ShuffledTreeInstance, asymptotic_arities,
-                              random_tree_pi, traverse_leaves, traverse_stream,
-                              tree_descriptor, tree_F_eval,
+                              node_key, random_tree_pi, traverse_leaves,
+                              traverse_stream, tree_descriptor, tree_F_eval,
                               tree_from_descriptor, tree_G_exact, tree_sample,
                               verify_tree, weight_sequence)
-from dynsub.oracle import InvariantError
+from dynsub.matroid_dynamic import BranchParams, MatroidHalf
+from dynsub.matroids import UniformMatroid
+from dynsub.oracle import CountedOracle, InvariantError
 
 
 def test_weight_sequence_identities():
@@ -140,10 +143,14 @@ def unshuffle(inst, v):
                           if j == v[-1]),)
 
 
+def load_counts(inst, S):
+    """Node -> how many elements of S add to its load."""
+    return Counter(unshuffle(inst, owner(inst, e)) for e in S)
+
+
 def recursive_F(inst, S):
     S = frozenset(S)
-    counts = Counter(unshuffle(inst, owner(inst, e)) for e in S)
-    x = {v: c / inst.w for v, c in counts.items()}
+    x = {v: c / inst.w for v, c in load_counts(inst, S).items()}
     return min(recursive_G(inst, x) + inst.eps * len(S) / inst.k, 1.0)
 
 
@@ -314,3 +321,55 @@ def test_full_node_load_is_exactly_one():
     inst = ShuffledTreeInstance(k=49, eps=1 / 49, arities=(1,) * 49)
     assert inst.w == 1
     assert tree_F_eval(inst, inst.ground) == 1.0
+
+
+def test_value_memo_is_exact_on_a_guided_replay():
+    arities = (3, 2, 1)
+    inst = tiny_tree(pi=random_tree_pi(arities, seed=2))
+    queried = []  # (S, value) of every set the replay queries, in order
+
+    def f(S):
+        v = tree_F_eval(inst, S)
+        queried.append((S, v))
+        return v
+
+    half = MatroidHalf(CountedOracle(f, inst.ground),
+                       UniformMatroid(inst.k, inst.ground),
+                       BranchParams.standard(inst.k, inst.eps, 1.0))
+    order = sorted(inst.ground)
+    random.Random(2).shuffle(order)
+    for e in order:
+        half.insert(e)
+        half.solution()
+    for S, v in queried:
+        x = {u: c / inst.w for u, c in load_counts(inst, S).items()}
+        assert v == min(tree_G_exact(inst, x) + inst.eps * len(S) / inst.k,
+                        1.0)
+    # one entry per count vector evaluated, fewer than the evaluations
+    vectors = {frozenset(load_counts(inst, S).items()) for S, _ in queried}
+    assert len(inst.value_memo) == len(vectors) < len(queried)
+
+
+def test_node_key_is_the_count_vector():
+    inst = tiny_tree(pi=random_tree_pi((3, 2, 1), seed=4))
+    vector_of: dict = {}  # key -> the count vectors of the sets with it
+    for j in range(4):
+        for S in itertools.combinations(sorted(inst.ground), j):
+            vector_of.setdefault(node_key(inst, S), set()).add(
+                frozenset(load_counts(inst, S).items()))
+    # one vector per key, and distinct keys for distinct vectors
+    assert all(len(v) == 1 for v in vector_of.values())
+    assert len(set().union(*vector_of.values())) == len(vector_of)
+
+
+def test_value_memo_belongs_to_its_instance():
+    # one set, one key, two values: w = 3 and w = 6 give other loads
+    a = tiny_tree()
+    b = ShuffledTreeInstance(k=18, eps=1 / 3, arities=(3, 2, 1))
+    S = frozenset({0, 1})  # two elements of node (1,) in both
+    assert node_key(a, S) == node_key(b, S)
+    va, vb = tree_F_eval(a, S), tree_F_eval(b, S)
+    assert va != vb
+    assert va == recursive_F(a, S) and vb == recursive_F(b, S)
+    assert a.value_memo == {node_key(a, S): va}
+    assert b.value_memo == {node_key(b, S): vb}
