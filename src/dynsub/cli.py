@@ -103,7 +103,10 @@ def _cmd_gen_stream(args) -> int:
         stream = hard_bipartite.bipartite_stream(inst)
         desc = hard_bipartite.bipartite_descriptor(inst)
     else:
-        arities = tuple(int(s) for s in args.arities.split(","))
+        try:
+            arities = tuple(int(s) for s in args.arities.split(","))
+        except ValueError as exc:
+            raise ValueError(f"bad --arities {args.arities!r}: {exc}") from None
         inst = hard_tree.ShuffledTreeInstance(
             k=args.k, eps=args.eps, arities=arities,
             pi=hard_tree.random_tree_pi(arities, args.seed))
@@ -159,7 +162,6 @@ def _add_run_flags(p):
     p.add_argument("--opt-mode", dest="opt_mode", choices=OPT_MODES)
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int)
 
 
 def _parsers():

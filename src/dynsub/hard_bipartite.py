@@ -43,15 +43,6 @@ class SymGapParams:
             raise ValueError("need 0 < eps1 < eps2 < 1")
 
     @classmethod
-    def asymptotic(cls, w: int, eps: float) -> "SymGapParams":
-        """The exact formulas; they underflow double precision for any
-        realistic (w, eps), so this variant is for inspection only."""
-        gamma = math.exp(-4.0 * w ** 6 / eps) / w
-        return cls(w=w, eps=eps, gamma=gamma, eps1=w * gamma,
-                   eps2=math.exp(-2.0 * w ** 6 / eps),
-                   phi_alpha=eps / (2.0 * w ** 6))
-
-    @classmethod
     def test_friendly(cls, w: int, eps: float) -> "SymGapParams":
         """Numerically representable parameters preserving the
         qualitative structure: eps2 <= eps^2 keeps the sandwich
@@ -103,6 +94,11 @@ class BipartiteInstance:
     def __init__(self, m: int, k: int, w: int, eps: float,
                  part_alpha: float = 0.5, beta: float = 0.42,
                  seed: int = 0):
+        # beta outside (0, 1) makes the objective non-monotone
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must be in (0, 1), got {beta}")
         ak = part_alpha * k
         bk = (1.0 - part_alpha) * k
         if (abs(ak - round(ak)) > 1e-9 or abs(bk - round(bk)) > 1e-9
@@ -144,9 +140,9 @@ class BipartiteInstance:
         self.ground = frozenset(range(nid))
         # a color load is its count over the class size
         self._load_scale = {"A": self.a_class, "B": self.b_class}
-        # (block function, side, per-color counts) -> block value; counts
-        # never exceed a class size, so this holds at most
-        # (a_class+1)^w + (b_class+1)^w entries per block function
+        # (side, per-color counts) -> fhat of the block; counts never
+        # exceed a class size, so this holds at most
+        # (a_class+1)^w + (b_class+1)^w entries
         self.block_memo: dict = {}
         # cell_key(S) -> bipartite_eval(S); one entry per count vector
         # evaluated
@@ -165,24 +161,17 @@ class BipartiteInstance:
                 for side, scale in self._load_scale.items())
         return y, z
 
-    def block_value(self, block_fn, side: str, count: tuple) -> float:
-        """block_fn on the load vector of a `side` block whose color
-        classes hold `count` elements; the vector is the one `loads`
-        builds, so the value is the same float."""
-        key = (block_fn, side, count)
+    def block_value(self, side: str, count: tuple) -> float:
+        """fhat on the load vector of a `side` block whose color classes
+        hold `count` elements; the vector is the one `loads` builds, so
+        the value is the same float."""
+        key = (side, count)
         v = self.block_memo.get(key)
         if v is None:
             scale = self._load_scale[side]
-            v = self.block_memo[key] = block_fn(self, [c / scale for c in count])
+            v = self.block_memo[key] = fhat([c / scale for c in count],
+                                            self.sym)
         return v
-
-
-def _fhat_value(inst: BipartiteInstance, x) -> float:
-    return fhat(x, inst.sym)
-
-
-def _g_value(inst: BipartiteInstance, x) -> float:
-    return _g_block(x, inst.w)
 
 
 def cell_key(inst: BipartiteInstance, S) -> tuple:
@@ -192,15 +181,10 @@ def cell_key(inst: BipartiteInstance, S) -> tuple:
     return tuple(sorted(map(inst._cell.__getitem__, S)))
 
 
-def _factors(inst: BipartiteInstance, cells, block_fn, pi=None):
-    """beta (1 - b(y_pi(i))) + (1 - beta) (1 - b(z_i)) for i = 1..m, with
-    b = block_fn, for the set whose elements lie in `cells` (cell
-    indices, one per element); each block value comes from the
-    instance's memo."""
-    if pi is None:
-        pi = inst.pi
-    elif not pi.keys() == set(pi.values()) == inst.pi.keys():
-        raise ValueError("pi must pair the m blocks of each side one to one")
+def _factors(inst: BipartiteInstance, cells):
+    """beta (1 - fhat(y_pi(i))) + (1 - beta) (1 - fhat(z_i)) for
+    i = 1..m, for the set whose elements lie in `cells` (cell indices,
+    one per element); each block value comes from the instance's memo."""
     touched: dict = {}  # (side, block) -> per-color counts of S
     for cell in cells:
         blk, j = inst._cells[cell]
@@ -212,9 +196,9 @@ def _factors(inst: BipartiteInstance, cells, block_fn, pi=None):
     beta = inst.beta
     fac = []
     for i in range(1, inst.m + 1):
-        a, b = touched.get(("A", pi[i])), touched.get(("B", i))
-        y = inst.block_value(block_fn, "A", zero if a is None else tuple(a))
-        z = inst.block_value(block_fn, "B", zero if b is None else tuple(b))
+        a, b = touched.get(("A", inst.pi[i])), touched.get(("B", i))
+        y = inst.block_value("A", zero if a is None else tuple(a))
+        z = inst.block_value("B", zero if b is None else tuple(b))
         fac.append(beta * (1.0 - y) + (1.0 - beta) * (1.0 - z))
     return fac
 
@@ -229,7 +213,7 @@ def bipartite_eval(inst: BipartiteInstance, S) -> float:
     v = inst.value_memo.get(key)
     if v is None:
         prod = 1.0
-        for t in _factors(inst, key, _fhat_value):
+        for t in _factors(inst, key):
             prod *= t
         v = inst.value_memo[key] = min(
             1.0 - prod + inst.eps * len(key) / inst.k, 1.0)
@@ -256,47 +240,6 @@ def bipartite_eval_bruteforce(inst: BipartiteInstance, S) -> float:
             prod *= 1.0 - fhat(vec, inst.sym)
         total += beta ** n_ones * (1.0 - beta) ** (inst.m - n_ones) * (1.0 - prod)
     return min(total + inst.eps * len(S) / inst.k, 1.0)
-
-
-def symmetric_eval(inst: BipartiteInstance, S, pi=None) -> float:
-    """The pairing-oblivious variant: block values through g only.
-
-    The factor product is taken in sorted order, so any two pairings
-    producing the same factor multiset give bit-identical values.
-    """
-    S = frozenset(S)
-    fac = _factors(inst, cell_key(inst, S), _g_value, pi=pi)
-    prod = 1.0
-    for t in sorted(fac):
-        prod *= t
-    return min(1.0 - prod + inst.eps * len(S) / inst.k, 1.0)
-
-
-def is_balanced(inst: BipartiteInstance, S) -> bool:
-    return all(max(v) - min(v) <= inst.gamma
-               for side in inst.loads(S) for v in side.values())
-
-
-def analytic_F(part_alpha: float, beta: float, lam: float) -> float:
-    if not (0 < part_alpha < 1 and 0 < beta < 1 and 0 <= lam <= 1):
-        raise ValueError("arguments must be in (0, 1)")
-    e1 = math.exp(-(1.0 - lam) * beta / part_alpha)
-    e2 = math.exp(-lam / (1.0 - part_alpha))
-    return beta * (1.0 - e1) + (1.0 - beta) * (1.0 - e1 * e2)
-
-
-def analytic_Q(part_alpha: float, beta: float) -> float:
-    """max of analytic_F over lambda in [0, 1], in closed form.
-
-    With a = beta/alpha and c = 1/(1-alpha),
-    F = 1 - beta e^{a(lam-1)} - (1-beta) e^{a(lam-1) - c lam} is a sum of
-    concave terms, so its maximizer is the stationary point
-    ln((1-beta)(c-a)/(beta a))/c clamped to [0, 1] (0 when c <= a).
-    """
-    a, c = beta / part_alpha, 1.0 / (1.0 - part_alpha)
-    ratio = (1.0 - beta) * (c - a) / (beta * a)
-    lam = min(max(math.log(ratio) / c, 0.0), 1.0) if ratio > 0 else 0.0
-    return analytic_F(part_alpha, beta, lam)
 
 
 def bipartite_stream(inst: BipartiteInstance) -> Stream:

@@ -174,24 +174,6 @@ class ShuffledTreeInstance:
         return out
 
 
-def tree_sample(inst: ShuffledTreeInstance, seed: int) -> frozenset:
-    """One draw of the stopping antichain R (full-tree walk)."""
-    rng = random.Random(seed)
-    p = inst.tab["p"]
-    R = []
-    stack = [()]
-    while stack:
-        u = stack.pop()
-        d = len(u)
-        if d >= 1 and rng.random() < p[d]:
-            R.append(u)
-            continue
-        if d < inst.L:
-            for i in range(inst.arities[d], 0, -1):
-                stack.append(u + (i,))
-    return frozenset(R)
-
-
 def tree_G_exact(inst: ShuffledTreeInstance, x: dict) -> float:
     """Exact expectation of 1 - prod_{u in R}(1 - x_u) over R.
 
@@ -300,32 +282,6 @@ def traverse_leaves(inst: ShuffledTreeInstance, d: int) -> list:
 
     rec(())
     return out
-
-
-def asymptotic_arities(n: int, k: int, eps: float):
-    """The scaling m_ell = n^{(L-ell+1) eps}/(2k), d = n^eps; validates
-    integrality and that the traverse stream has length <= n."""
-    L = 1.0 / eps
-    if abs(L - round(L)) > 1e-9:
-        raise ValueError("1/eps must be an integer")
-    L = int(round(L))
-    arities = []
-    for ell in range(1, L + 1):
-        if ell == L:
-            arities.append(1)
-            continue
-        m = n ** ((L - ell + 1) * eps) / (2 * k)
-        if abs(m - round(m)) > 1e-6 or round(m) < 1:
-            raise ValueError(f"arity at depth {ell} not a positive integer: {m}")
-        arities.append(int(round(m)))
-    d = n ** eps
-    if abs(d - round(d)) > 1e-6:
-        raise ValueError(f"d = {d} not an integer")
-    d = int(round(d))
-    total = _stream_length(arities, d, eps * k)
-    if total > n:
-        raise ValueError(f"stream length {total} exceeds n = {n}")
-    return tuple(arities), d
 
 
 def tree_descriptor(inst: ShuffledTreeInstance, seed: int, d: int) -> dict:

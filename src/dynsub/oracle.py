@@ -1,4 +1,4 @@
-"""Counted set-function oracles, property samplers, brute force.
+"""Counted set-function oracles and the brute-force optimum.
 
 Every algorithm in this package sees its objective only through a
 CountedOracle, so query budgets can be audited after the fact.  A
@@ -10,8 +10,6 @@ the oracle only tracks raw evaluations.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
 
 
 class DomainError(ValueError):
@@ -61,47 +59,6 @@ def best_of(oracle: CountedOracle, sets) -> frozenset:
         if v > best_val + 1e-15:
             best, best_val = S, v
     return best
-
-
-@dataclass
-class PropertyReport:
-    trials: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_submodular_monotone(oracle: CountedOracle, trials: int, seed: int,
-                              tol: float = 1e-9) -> PropertyReport:
-    """Sample random (S subset-of T, e not in T) triples and test
-    f_S(e) >= f_T(e) - tol (submodularity) and f_S(e) >= -tol (monotonicity).
-
-    Deterministic given the seed.  Violating triples are recorded verbatim.
-    """
-    if not oracle.ground:
-        raise ValueError("empty ground set")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    rng = random.Random(seed)
-    universe = sorted(oracle.ground)
-    report = PropertyReport(trials=trials)
-    for _ in range(trials):
-        e = rng.choice(universe)
-        rest = [u for u in universe if u != e]
-        t_size = rng.randint(0, len(rest))
-        T = frozenset(rng.sample(rest, t_size))
-        S = frozenset(u for u in T if rng.random() < 0.5)
-        fS = oracle.eval(S)
-        fT = oracle.eval(T)
-        mS = oracle.eval(S | {e}) - fS
-        mT = oracle.eval(T | {e}) - fT
-        if mS < mT - tol:
-            report.violations.append(("submodularity", S, T, e, mS, mT))
-        if mS < -tol:
-            report.violations.append(("monotonicity", S, T, e, mS, None))
-    return report
 
 
 def _n_choose_upto(n: int, k: int) -> int:

@@ -1,0 +1,128 @@
+"""Test oracles: helpers that only the tests call.
+
+Each one is a literal or sampled restatement of something the library
+computes another way (the bipartite factorization, the tree expectation,
+the submodularity of an objective), or a closed form the paper states.
+Test modules import it by name, `from oracles import ...`: pytest puts
+this directory on sys.path.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass, field
+
+from dynsub.hard_bipartite import _g_block, fhat
+
+
+@dataclass
+class PropertyReport:
+    trials: int
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_submodular_monotone(oracle, trials: int, seed: int,
+                              tol: float = 1e-9) -> PropertyReport:
+    """Sample random (S subset-of T, e not in T) triples and test
+    f_S(e) >= f_T(e) - tol (submodularity) and f_S(e) >= -tol (monotonicity).
+
+    Deterministic given the seed.  Violating triples are recorded verbatim.
+    """
+    if not oracle.ground:
+        raise ValueError("empty ground set")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    rng = random.Random(seed)
+    universe = sorted(oracle.ground)
+    report = PropertyReport(trials=trials)
+    for _ in range(trials):
+        e = rng.choice(universe)
+        rest = [u for u in universe if u != e]
+        t_size = rng.randint(0, len(rest))
+        T = frozenset(rng.sample(rest, t_size))
+        S = frozenset(u for u in T if rng.random() < 0.5)
+        fS = oracle.eval(S)
+        fT = oracle.eval(T)
+        mS = oracle.eval(S | {e}) - fS
+        mT = oracle.eval(T | {e}) - fT
+        if mS < mT - tol:
+            report.violations.append(("submodularity", S, T, e, mS, mT))
+        if mS < -tol:
+            report.violations.append(("monotonicity", S, T, e, mS, None))
+    return report
+
+
+def analytic_F(part_alpha: float, beta: float, lam: float) -> float:
+    if not (0 < part_alpha < 1 and 0 < beta < 1 and 0 <= lam <= 1):
+        raise ValueError("arguments must be in (0, 1)")
+    e1 = math.exp(-(1.0 - lam) * beta / part_alpha)
+    e2 = math.exp(-lam / (1.0 - part_alpha))
+    return beta * (1.0 - e1) + (1.0 - beta) * (1.0 - e1 * e2)
+
+
+def analytic_Q(part_alpha: float, beta: float) -> float:
+    """max of analytic_F over lambda in [0, 1], in closed form.
+
+    With a = beta/alpha and c = 1/(1-alpha),
+    F = 1 - beta e^{a(lam-1)} - (1-beta) e^{a(lam-1) - c lam} is a sum of
+    concave terms, so its maximizer is the stationary point
+    ln((1-beta)(c-a)/(beta a))/c clamped to [0, 1] (0 when c <= a).
+    """
+    a, c = beta / part_alpha, 1.0 / (1.0 - part_alpha)
+    ratio = (1.0 - beta) * (c - a) / (beta * a)
+    lam = min(max(math.log(ratio) / c, 0.0), 1.0) if ratio > 0 else 0.0
+    return analytic_F(part_alpha, beta, lam)
+
+
+def tree_sample(inst, seed: int) -> frozenset:
+    """One draw of the stopping antichain R of a ShuffledTreeInstance
+    (full-tree walk)."""
+    rng = random.Random(seed)
+    p = inst.tab["p"]
+    R = []
+    stack = [()]
+    while stack:
+        u = stack.pop()
+        d = len(u)
+        if d >= 1 and rng.random() < p[d]:
+            R.append(u)
+            continue
+        if d < inst.L:
+            for i in range(inst.arities[d], 0, -1):
+                stack.append(u + (i,))
+    return frozenset(R)
+
+
+# The bipartite per-index factorization written literally on the load
+# vectors of `inst.loads`, one block-function call per block and index.
+def literal_value(inst, S, block_fn, pi=None, sort=False):
+    S = frozenset(S)
+    pi = inst.pi if pi is None else pi
+    y, z = inst.loads(S)
+    beta = inst.beta
+    fac = [beta * (1.0 - block_fn(y[pi[i]])) +
+           (1.0 - beta) * (1.0 - block_fn(z[i]))
+           for i in range(1, inst.m + 1)]
+    prod = 1.0
+    for t in (sorted(fac) if sort else fac):
+        prod *= t
+    return min(1.0 - prod + inst.eps * len(S) / inst.k, 1.0)
+
+
+def literal_bipartite(inst, S):
+    """bipartite_eval, factors multiplied in index order."""
+    return literal_value(inst, S, lambda v: fhat(v, inst.sym))
+
+
+def literal_symmetric(inst, S, pi=None):
+    """The pairing-oblivious variant: block values through the
+    symmetrized g only, under pairing `pi` (the instance's by default).
+    The factors are multiplied in sorted order, so two pairings that
+    give the same factor multiset give bit-identical values."""
+    return literal_value(inst, S, lambda v: _g_block(v, inst.w), pi=pi,
+                         sort=True)

@@ -11,19 +11,19 @@ import time
 import numpy as np
 
 from dynsub.cardinality import CardinalityState, GuessLadder
-from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams,
-                                   analytic_Q, bipartite_eval,
-                                   bipartite_eval_bruteforce, symmetric_eval)
+from dynsub.hard_bipartite import (BipartiteInstance, bipartite_eval,
+                                   bipartite_eval_bruteforce)
 from dynsub.hard_tree import (ShuffledTreeInstance, random_tree_pi,
                               traverse_leaves, traverse_stream, tree_F_eval,
-                              tree_G_exact, tree_sample, weight_sequence)
+                              tree_G_exact, weight_sequence)
 from dynsub.matroid_dynamic import (AmplifierConfig, BranchParams,
                                     MatroidHalf, amplified_run,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import ConvexCombo, PartitionMatroid, swap_round
 from dynsub.objectives import random_coverage
-from dynsub.oracle import CountedOracle, brute_force_opt, \
-    check_submodular_monotone
+from dynsub.oracle import CountedOracle, brute_force_opt
+from oracles import (analytic_Q, check_submodular_monotone, literal_symmetric,
+                     tree_sample)
 
 
 def _report(num, ok, detail):
@@ -385,7 +385,8 @@ def test_criterion_10_indistinguishability():
         S, pi1, pi2 = _agreeing_triple(inst, rng)
         if pi1 != pi2:
             nontrivial += 1
-        if symmetric_eval(inst, S, pi=pi1) != symmetric_eval(inst, S, pi=pi2):
+        if (literal_symmetric(inst, S, pi=pi1)
+                != literal_symmetric(inst, S, pi=pi2)):
             mismatches += 1
     _report(10, mismatches == 0 and nontrivial > 100,
             f"1000 agreeing triples ({nontrivial} with distinct shuffles), "

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams, analytic_F,
-                                   analytic_Q, bipartite_descriptor,
-                                   bipartite_eval, bipartite_eval_bruteforce,
+from dynsub.hard_bipartite import (BipartiteInstance, SymGapParams,
+                                   bipartite_descriptor, bipartite_eval,
+                                   bipartite_eval_bruteforce,
                                    bipartite_from_descriptor, bipartite_stream,
-                                   cell_key, fhat, is_balanced, phi,
-                                   symmetric_eval, verify_bipartite, _g_block)
-from dynsub.oracle import (CountedOracle, InvariantError, brute_force_opt,
-                           check_submodular_monotone)
+                                   cell_key, fhat, phi, verify_bipartite)
+from dynsub.oracle import CountedOracle, InvariantError, brute_force_opt
 from dynsub.streams import DELETE, INSERT
+from oracles import (analytic_F, analytic_Q, check_submodular_monotone,
+                     literal_bipartite, literal_symmetric)
 
 
 def test_phi_basics():
@@ -30,8 +30,13 @@ def test_phi_basics():
 
 
 def test_phi_slope_vanishes_at_upper_knee():
-    # smallest parameter set where the exact formulas stay representable
-    p = SymGapParams.asymptotic(w=2, eps=0.9)
+    # the paper's exact formulas, at the smallest (w, eps) where they stay
+    # representable in double precision
+    w, eps = 2, 0.9
+    gamma = math.exp(-4.0 * w ** 6 / eps) / w
+    p = SymGapParams(w=w, eps=eps, gamma=gamma, eps1=w * gamma,
+                     eps2=math.exp(-2.0 * w ** 6 / eps),
+                     phi_alpha=eps / (2.0 * w ** 6))
     assert p.gamma > 0 and p.eps2 > p.eps1 > 0
     slope = 1.0 - p.phi_alpha * math.log(p.eps2 / p.eps1)
     assert slope == pytest.approx(0.0, abs=1e-9)
@@ -89,6 +94,11 @@ def test_submodular_monotone_sampler():
     assert check_submodular_monotone(o, trials=2000, seed=5, tol=1e-7).ok
 
 
+def is_balanced(inst, S) -> bool:
+    return all(max(v) - min(v) <= inst.gamma
+               for side in inst.loads(S) for v in side.values())
+
+
 def test_balancedness():
     inst = BipartiteInstance(m=2, k=4, w=2, eps=0.33, seed=4)
     assert is_balanced(inst, frozenset())
@@ -129,6 +139,16 @@ def test_integrality_validation():
     for k, alpha in ((0, 0.5), (4, 1.0), (4, 0.0)):  # an empty side
         with pytest.raises(ValueError, match="positive integers"):
             BipartiteInstance(m=2, k=k, w=2, eps=0.33, part_alpha=alpha)
+
+
+def test_refuses_a_non_monotone_or_empty_instance():
+    # beta outside (0, 1) gives one B element a negative value
+    for beta in (1.5, -0.5, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="beta must be in"):
+            BipartiteInstance(m=2, k=4, w=2, eps=0.33, beta=beta)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            BipartiteInstance(m=m, k=4, w=2, eps=0.33)
 
 
 def test_verify_and_descriptor_round_trip():
@@ -175,7 +195,8 @@ def test_indistinguishability_bit_identity():
         S, pi1, pi2 = sample_agreeing_triple(inst, rng)
         if pi1 != pi2:
             nontrivial += 1
-        assert symmetric_eval(inst, S, pi=pi1) == symmetric_eval(inst, S, pi=pi2)
+        assert (literal_symmetric(inst, S, pi=pi1)
+                == literal_symmetric(inst, S, pi=pi2))
     assert nontrivial > 50
 
 
@@ -196,31 +217,6 @@ def test_golden_layout_and_values():
     assert repr(analytic_Q(0.5, 0.5)) == "0.6321205588285577"
 
 
-# Test oracle: the per-index factorization written literally on the load
-# vectors of `inst.loads`, one block-function call per block and index.
-def literal_value(inst, S, block_fn, pi=None, sort=False):
-    S = frozenset(S)
-    pi = inst.pi if pi is None else pi
-    y, z = inst.loads(S)
-    beta = inst.beta
-    fac = [beta * (1.0 - block_fn(y[pi[i]])) +
-           (1.0 - beta) * (1.0 - block_fn(z[i]))
-           for i in range(1, inst.m + 1)]
-    prod = 1.0
-    for t in (sorted(fac) if sort else fac):
-        prod *= t
-    return min(1.0 - prod + inst.eps * len(S) / inst.k, 1.0)
-
-
-def literal_bipartite(inst, S):
-    return literal_value(inst, S, lambda v: fhat(v, inst.sym))
-
-
-def literal_symmetric(inst, S, pi=None):
-    return literal_value(inst, S, lambda v: _g_block(v, inst.w), pi=pi,
-                         sort=True)
-
-
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(1, 5), a_k=st.integers(1, 3), b_k=st.integers(1, 3),
        w=st.integers(2, 4), eps=st.floats(0.11, 0.99),
@@ -234,22 +230,15 @@ def test_memoised_evaluators_match_the_literal_formula(m, a_k, b_k, w, eps,
     ids = sorted(inst.ground)
     for _ in range(6):
         S = data.draw(st.sets(st.sampled_from(ids)))
-        pi = dict(enumerate(data.draw(st.permutations(range(1, m + 1))),
-                            start=1))
         assert bipartite_eval(inst, S) == literal_bipartite(inst, S)
-        assert symmetric_eval(inst, S) == literal_symmetric(inst, S)
-        assert symmetric_eval(inst, S, pi=pi) == literal_symmetric(inst, S, pi)
 
 
 def test_block_memo_stays_within_its_bound():
     inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33)
-    per_fn = (inst.a_class + 1) ** inst.w + (inst.b_class + 1) ** inst.w
+    bound = (inst.a_class + 1) ** inst.w + (inst.b_class + 1) ** inst.w
     brute_force_opt(CountedOracle(lambda S: bipartite_eval(inst, S),
                                   inst.ground), k=inst.k)
-    assert len(inst.block_memo) == per_fn == 18  # every count vector seen
-    brute_force_opt(CountedOracle(lambda S: symmetric_eval(inst, S),
-                                  inst.ground), k=inst.k)
-    assert len(inst.block_memo) <= 2 * per_fn
+    assert len(inst.block_memo) == bound == 18  # every count vector seen
 
 
 def test_block_memo_belongs_to_its_instance():
@@ -284,7 +273,6 @@ def test_value_memo_is_exact_in_walk_order():
     sets = small_sets(inst, 4)
     for S in sets:  # a later set hits the entry of an earlier isomorphic one
         assert bipartite_eval(inst, S) == literal_bipartite(inst, S)
-        assert symmetric_eval(inst, S) == literal_symmetric(inst, S)
     # one entry per count vector evaluated, far fewer than the evaluations
     vectors = {count_vector(inst, S) for S in sets}
     assert len(inst.value_memo) == len(vectors) < len(sets) == 2517
@@ -316,13 +304,6 @@ def test_brute_force_tie_goes_to_the_smallest_id_tuple():
     for t in range(1, len(order) + 1):
         res = brute_force_opt(oracle, ground=order[:t], k=inst.k, prev=res)
     assert res[0] == scratch[0] and repr(res[1]) == repr(scratch[1])
-
-
-def test_symmetric_eval_refuses_a_pi_that_is_no_pairing():
-    inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33, seed=2)
-    for bad in ({1: 1, 2: 1, 3: 2}, {1: 2, 2: 3}, {1: 2, 2: 3, 3: 4}):
-        with pytest.raises(ValueError, match="one to one"):
-            symmetric_eval(inst, {0}, pi=bad)
 
 
 def test_full_color_class_load_is_exactly_one():

@@ -87,6 +87,37 @@ def test_verify_mistyped_bipartite_field(tmp_path, capsys):
     assert "'m' is 'x'" in err
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--family", "bipartite", "--beta", "1.5"], "beta must be in (0, 1)"),
+    (["--family", "bipartite", "--beta", "-0.5"], "beta must be in (0, 1)"),
+    (["--family", "bipartite", "--m", "0"], "m must be >= 1"),
+    (["--family", "tree", "--arities", "2,x"], "bad --arities '2,x'"),
+])
+def test_gen_stream_refuses_bad_parameters(flags, needle, tmp_path, capsys):
+    out = tmp_path / "bad.stream"
+    assert main(["gen-stream", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("beta", 1.5, "beta must be in (0, 1)"),
+    ("beta", -0.5, "beta must be in (0, 1)"),
+    ("m", 0, "m must be >= 1"),
+])
+def test_verify_refuses_an_out_of_range_bipartite_field(field, value, needle,
+                                                        tmp_path, capsys):
+    out = str(tmp_path / "bip.stream")
+    assert main(["gen-stream", "--family", "bipartite", "--out", out]) == 0
+    desc = json.loads(Path(out + ".json").read_text())
+    Path(out + ".json").write_text(json.dumps(dict(desc, **{field: value})))
+    capsys.readouterr()
+    assert main(["verify-hard", "--instance", out + ".json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["run", "--oracle", "random:6:5:0"]) == 1
@@ -161,7 +192,10 @@ HALF = ["run", "--algo", "matroid-half", "--oracle", "random:6:5:0"]
     (BENCH + ["--sweep", "k=2,0"], "k must be >= 1"),
     (BENCH + ["--sweep", "algo=card-ladder,bogus"], "unknown algorithm"),
     (BENCH + ["--sweep", "checkpoint=at-end,every-n:0"], "n >= 1"),
-    (BENCH + ["--sweep", "oracle=random:6:5:0,no-such-file"], "no-such-file"),
+    (BENCH + ["--sweep", "oracle=random:6:5:0,no-such-file"], "no-such-file"),    (RUN + ["--k", "2", "--epsilon", "0.5", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (BENCH + ["--seed", "3", "--sweep", "k=1,2"],
+     "unrecognized arguments: --seed 3"),
 ])
 def test_bad_run_parameters_exit_1(argv, needle, capsys):
     # refused before any run starts

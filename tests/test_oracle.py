@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
-                           _sets_through, brute_force_opt,
-                           check_submodular_monotone)
+                           _sets_through, brute_force_opt)
 from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
 from dynsub.matroids import PartitionMatroid, UniformMatroid
+from oracles import check_submodular_monotone
 
 
 def small_coverage():

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsub.hard_tree import (ShuffledTreeInstance, asymptotic_arities,
+from dynsub.hard_tree import (ShuffledTreeInstance, _stream_length,
                               node_key, random_tree_pi, traverse_leaves,
                               traverse_stream, tree_descriptor, tree_F_eval,
-                              tree_from_descriptor, tree_G_exact, tree_sample,
-                              verify_tree, weight_sequence)
+                              tree_from_descriptor, tree_G_exact, verify_tree,
+                              weight_sequence)
 from dynsub.matroid_dynamic import BranchParams, MatroidHalf
 from dynsub.matroids import UniformMatroid
 from dynsub.oracle import CountedOracle, InvariantError
+from oracles import tree_sample
 
 
 def test_weight_sequence_identities():
@@ -288,6 +289,32 @@ def test_shuffle_invariance_under_lca_condition():
             nontrivial += 1
         assert tree_F_eval(i1, S) == tree_F_eval(i2, S)
     assert nontrivial > 0
+
+
+def asymptotic_arities(n: int, k: int, eps: float):
+    """The scaling m_ell = n^{(L-ell+1) eps}/(2k), d = n^eps; validates
+    integrality and that the traverse stream has length <= n."""
+    L = 1.0 / eps
+    if abs(L - round(L)) > 1e-9:
+        raise ValueError("1/eps must be an integer")
+    L = int(round(L))
+    arities = []
+    for ell in range(1, L + 1):
+        if ell == L:
+            arities.append(1)
+            continue
+        m = n ** ((L - ell + 1) * eps) / (2 * k)
+        if abs(m - round(m)) > 1e-6 or round(m) < 1:
+            raise ValueError(f"arity at depth {ell} not a positive integer: {m}")
+        arities.append(int(round(m)))
+    d = n ** eps
+    if abs(d - round(d)) > 1e-6:
+        raise ValueError(f"d = {d} not an integer")
+    d = int(round(d))
+    total = _stream_length(arities, d, eps * k)
+    if total > n:
+        raise ValueError(f"stream length {total} exceeds n = {n}")
+    return tuple(arities), d
 
 
 def test_asymptotic_preset_validation():
