@@ -32,13 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_oracle_inner(spec: str):
-    if spec.startswith("random:"):
-        try:
+    try:
+        if spec.startswith("random:"):
             _, n, items, seed = spec.split(":")
             return random_coverage(int(n), int(items), int(seed))
-        except ValueError as exc:
-            raise ValueError(f"bad oracle spec {spec!r}: {exc}") from None
-    return CoverageFunction.load(spec)
+        return CoverageFunction.load(spec)
+    except ValueError as exc:
+        raise ValueError(f"bad oracle spec {spec!r}: {exc}") from None
 
 
 def _load_matroid(spec: str | None, ids):

@@ -48,8 +48,11 @@ class SymGapParams:
         qualitative structure: eps2 <= eps^2 keeps the sandwich
         f - eps <= fhat <= f, and the tiny phi_alpha keeps phi' >= 0."""
         gamma = 0.01 / w
-        return cls(w=w, eps=eps, gamma=gamma, eps1=w * gamma,
-                   eps2=0.9 * min(eps ** 2, 0.25),
+        eps1, eps2 = w * gamma, 0.9 * min(eps ** 2, 0.25)
+        if not eps1 < eps2:
+            raise ValueError(f"eps must be above sqrt(1/90) ~ 0.1054, so "
+                             f"that eps1 = 0.01 < eps2 = 0.9*eps^2, got {eps}")
+        return cls(w=w, eps=eps, gamma=gamma, eps1=eps1, eps2=eps2,
                    phi_alpha=eps / (2.0 * w ** 6))
 
 
@@ -101,10 +104,13 @@ class BipartiteInstance:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
         ak = part_alpha * k
         bk = (1.0 - part_alpha) * k
-        if (abs(ak - round(ak)) > 1e-9 or abs(bk - round(bk)) > 1e-9
+        # checked first: round() raises on a NaN or infinite part_alpha
+        if (not 0.0 < part_alpha < 1.0
+                or abs(ak - round(ak)) > 1e-9 or abs(bk - round(bk)) > 1e-9
                 or round(ak) < 1 or round(bk) < 1):
-            raise ValueError("alpha*k and (1-alpha)*k must be positive "
-                             "integers")
+            raise ValueError(f"part_alpha must be in (0, 1) with alpha*k and "
+                             f"(1-alpha)*k positive integers, got "
+                             f"part_alpha={part_alpha}, k={k}")
         self.m, self.k, self.w, self.eps = m, k, w, eps
         self.part_alpha, self.beta, self.seed = part_alpha, beta, seed
         self.a_class = int(round(ak))  # elements per A color class

@@ -261,8 +261,3 @@ def emit_report(records, fmt: str, path, meta: dict | None = None) -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def load_report_json(path) -> list[RoundRecord]:
-    with open(path) as fh:
-        return [RoundRecord(**d) for d in json.load(fh)]

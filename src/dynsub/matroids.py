@@ -9,6 +9,8 @@ from dynsub.oracle import DomainError
 
 
 class _BaseMatroid:
+    """Counted independence queries; a subclass defines _independent(S)."""
+
     def __init__(self, ground):
         self.ground = frozenset(int(e) for e in ground)
         self._count = 0
@@ -23,9 +25,6 @@ class _BaseMatroid:
             raise DomainError(f"unknown elements: {sorted(S - self.ground)}")
         self._count += 1
         return self._independent(S)
-
-    def _independent(self, S) -> bool:
-        raise NotImplementedError
 
 
 class UniformMatroid(_BaseMatroid):
@@ -63,14 +62,6 @@ class PartitionMatroid(_BaseMatroid):
             if counts[b] > self.caps[b]:
                 return False
         return True
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("partition\n")
-            for b in sorted(self.caps, key=str):
-                fh.write(f"b {b} cap {self.caps[b]}\n")
-            for e in sorted(self.blocks):
-                fh.write(f"e {e} block {self.blocks[e]}\n")
 
     @classmethod
     def load(cls, path) -> "PartitionMatroid":

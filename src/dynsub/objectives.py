@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 
@@ -31,8 +32,10 @@ class CoverageFunction:
         self.weights = dict(self.universe)
         if len(self.weights) != len(self.universe):
             raise ValueError("duplicate universe items")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("negative item weight")
+        weights = self.weights.values()
+        if not (all(map(math.isfinite, weights))
+                and min(weights, default=0.0) >= 0.0):
+            raise ValueError("item weights must be finite and >= 0")
         self.covers = {int(e): frozenset(items) for e, items in covers.items()}
         # universe position of each item; a failed lookup is an unknown item
         position = dict(zip(self.weights, range(len(self.universe)))).__getitem__
@@ -62,71 +65,54 @@ class CoverageFunction:
             self._coverers = inv
         return self._coverers
 
-    def as_oracle(self) -> CountedOracle:
-        return CountedOracle(self, self.ground)
-
-    def dump(self, path) -> None:
-        items = [item for item, _ in self.universe]
-        with open(path, "w") as fh:
-            fh.write(f"coverage {len(self.covers)} {len(items)}\n")
-            # weight lines first, in universe order, so a reload keeps the
-            # exact summation order (values stay bit-identical)
-            for item, w in self.universe:
-                fh.write(f"w {item} {w!r}\n")
-            for e in sorted(self.covers):
-                fh.write(f"e {e} : " + " ".join(sorted(self.covers[e])) + "\n")
-
     @classmethod
     def load(cls, path) -> "CoverageFunction":
+        """A `coverage <elements> <items>` header, one `e <id> : <item> ...`
+        line per element, and `w <item> <weight>` lines; an item without
+        one weighs 1.0.  Items are in the order they first appear."""
         covers = {}
         weights = {}
-        items_seen = []
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 3 or header[0] != "coverage":
                 raise ValueError("bad coverage header")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 tok = line.split()
                 if not tok:
                     continue
-                if tok[0] == "e":
-                    if len(tok) < 3 or tok[2] != ":":
-                        raise ValueError(f"bad element line: {line!r}")
-                    eid = int(tok[1])
-                    covers[eid] = set(tok[3:])
-                    for it in tok[3:]:
-                        if it not in weights:
-                            weights[it] = 1.0
-                            items_seen.append(it)
-                elif tok[0] == "w" and len(tok) == 3:
-                    item, w = tok[1], float(tok[2])
-                    if item not in weights:
-                        items_seen.append(item)
-                    weights[item] = w
-                else:
-                    raise ValueError(f"bad line: {line!r}")
-        universe = [(it, weights[it]) for it in items_seen]
-        return cls(universe, covers)
-
-
-class ModularFunction:
-    """f(S) = sum of per-element weights."""
-
-    def __init__(self, weights):
-        self.weights = {int(e): float(w) for e, w in weights.items()}
-        self.ground = frozenset(self.weights)
-
-    def __call__(self, S):
-        return sum(self.weights[e] for e in S)
-
-    def as_oracle(self) -> CountedOracle:
-        return CountedOracle(self, self.ground)
+                try:
+                    if tok[0] == "e" and len(tok) >= 3 and tok[2] == ":":
+                        eid = int(tok[1])
+                        if eid in covers:
+                            raise ValueError
+                        covers[eid] = set(tok[3:])
+                        for it in tok[3:]:
+                            weights.setdefault(it, 1.0)
+                    elif tok[0] == "w" and len(tok) == 3:
+                        weights[tok[1]] = w = float(tok[2])
+                        if not 0.0 <= w < math.inf:
+                            raise ValueError
+                    else:
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(f"bad coverage line {lineno}: "
+                                     f"{line.strip()!r}") from None
+        counts = [len(covers), len(weights)]
+        if header[1:] != list(map(str, counts)):
+            raise ValueError(f"bad coverage line 1: {' '.join(header)!r}, but "
+                             f"the file has {counts[0]} elements and "
+                             f"{counts[1]} items")
+        return cls(list(weights.items()), covers)
 
 
 def random_coverage(n_elements: int, n_items: int, seed: int,
                     weighted: bool = False) -> CoverageFunction:
     """Seeded random coverage instance; every element covers 1 to
     MAX_COVER items."""
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    if n_items < 1:
+        raise ValueError(f"n_items must be >= 1, got {n_items}")
     rng = random.Random(seed)
     items = [f"u{j}" for j in range(n_items)]
     universe = [(it, rng.uniform(0.5, 2.0) if weighted else 1.0) for it in items]

@@ -1,19 +1,70 @@
 """Test oracles: helpers that only the tests call.
 
-Each one is a literal or sampled restatement of something the library
+Most are a literal or sampled restatement of something the library
 computes another way (the bipartite factorization, the tree expectation,
 the submodularity of an objective), or a closed form the paper states.
+The rest are test conveniences: a counted oracle over a whole ground
+set, a modular objective, and writers and readers of the file formats
+the CLI reads and writes.
+
 Test modules import it by name, `from oracles import ...`: pytest puts
 this directory on sys.path.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
 
 from dynsub.hard_bipartite import _g_block, fhat
+from dynsub.harness import RoundRecord
+from dynsub.oracle import CountedOracle
+
+
+def counted(f) -> CountedOracle:
+    """A fresh counted oracle over f's whole ground set."""
+    return CountedOracle(f, f.ground)
+
+
+class ModularFunction:
+    """f(S) = sum of per-element weights, added in S's iteration order."""
+
+    def __init__(self, weights):
+        self.weights = {int(e): float(w) for e, w in weights.items()}
+        self.ground = frozenset(self.weights)
+
+    def __call__(self, S):
+        return sum(self.weights[e] for e in S)
+
+
+def dump_coverage(f, path) -> None:
+    """Write a CoverageFunction in the format CoverageFunction.load reads."""
+    with open(path, "w") as fh:
+        fh.write(f"coverage {len(f.covers)} {len(f.universe)}\n")
+        # weight lines first, in universe order, so a reload keeps the
+        # exact summation order (values stay bit-identical)
+        for item, w in f.universe:
+            fh.write(f"w {item} {w!r}\n")
+        for e in sorted(f.covers):
+            fh.write(f"e {e} : " + " ".join(sorted(f.covers[e])) + "\n")
+
+
+def dump_partition(M, path) -> None:
+    """Write a PartitionMatroid in the format PartitionMatroid.load reads."""
+    with open(path, "w") as fh:
+        fh.write("partition\n")
+        for b in sorted(M.caps, key=str):
+            fh.write(f"b {b} cap {M.caps[b]}\n")
+        for e in sorted(M.blocks):
+            fh.write(f"e {e} block {M.blocks[e]}\n")
+
+
+def load_report_json(path) -> list[RoundRecord]:
+    """The records of a `--format json` report."""
+    with open(path) as fh:
+        return [RoundRecord(**d) for d in json.load(fh)]
 
 
 @dataclass

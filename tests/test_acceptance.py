@@ -22,7 +22,8 @@ from dynsub.matroid_dynamic import (AmplifierConfig, BranchParams,
 from dynsub.matroids import ConvexCombo, PartitionMatroid, swap_round
 from dynsub.objectives import random_coverage
 from dynsub.oracle import CountedOracle, brute_force_opt
-from oracles import (analytic_Q, check_submodular_monotone, literal_symmetric,
+from oracles import (analytic_Q, check_submodular_monotone, counted,
+                     literal_symmetric,
                      tree_sample)
 
 
@@ -46,7 +47,7 @@ def _crossing_round(f, k, order, opt):
     """First prefix length whose offline optimum reaches opt."""
 
     def reaches(t):
-        _, v = brute_force_opt(f.as_oracle(), ground=order[:t], k=k)
+        _, v = brute_force_opt(counted(f), ground=order[:t], k=k)
         return v >= opt - 1e-12
 
     lo, hi = 1, len(order)
@@ -64,7 +65,7 @@ def _fixed_opt_runs():
     out = []
     for seed in range(30):
         f, k, order = cardinality_instance(seed)
-        _, opt = brute_force_opt(f.as_oracle(), k=k)
+        _, opt = brute_force_opt(counted(f), k=k)
         oracle = CountedOracle(f, f.ground)
         st = CardinalityState(oracle, k, eps, opt)
         values = []
@@ -106,7 +107,7 @@ def test_criterion_3_ladder_without_opt():
         ladder = GuessLadder(oracle, k, eps)
         for t, e in enumerate(order, start=1):
             ladder.insert(e)
-            _, opt_t = brute_force_opt(f.as_oracle(), ground=order[:t], k=k)
+            _, opt_t = brute_force_opt(counted(f), ground=order[:t], k=k)
             if opt_t <= 0:
                 continue
             worst = min(worst, f(ladder.solution()) / opt_t)
@@ -139,8 +140,8 @@ def test_criterion_4_exact_parity():
     checked = 0
     for seed in range(50):
         f, M, order = partition_instance(seed)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         checked += 1
@@ -169,8 +170,8 @@ def test_criterion_5_half_guarantee():
     dominated = True
     for seed in range(50):
         f, M, order = partition_instance(seed)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams.standard(4, eps, opt)
@@ -198,7 +199,7 @@ def test_criterion_6_amplification():
         f = random_coverage(10, 8, seed)
         blocks = {e: e % 3 for e in range(10)}
         M = PartitionMatroid(blocks, {0: 1, 1: 1, 2: 2})
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         cfg = AmplifierConfig(m=4, epsilon=eps)

@@ -7,6 +7,7 @@ from dynsub.matroid_dynamic import AmplifierConfig, amplified_run
 from dynsub.matroids import ConvexCombo, PartitionMatroid, UniformMatroid, swap_round
 from dynsub.objectives import multilinear_exact, random_coverage
 from dynsub.oracle import brute_force_opt
+from oracles import counted
 
 
 def desk_instance(seed, n=10):
@@ -39,7 +40,7 @@ def test_guarantee_and_rounding():
     target = 1 - 1 / math.e - 2 * 0.25
     for seed in range(4):
         f, M = desk_instance(seed)
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         cfg = AmplifierConfig(m=4, epsilon=0.25)
         res = amplified_run(sorted(f.ground), M, f, cfg, k=4, seed=seed)
         assert res.value >= target * opt - 1e-9
@@ -57,7 +58,7 @@ def test_guarantee_and_rounding():
 
 def test_stage_guesses_on_grid():
     f, M = desk_instance(2)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     cfg = AmplifierConfig(m=3, epsilon=0.25)
     res = amplified_run(sorted(f.ground), M, f, cfg, k=4, seed=0)
     for d in res.stage_guesses:

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from dynsub import cardinality
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
-from dynsub.objectives import ModularFunction, random_coverage
+from dynsub.objectives import random_coverage
 from dynsub.oracle import CountedOracle, InvariantError, brute_force_opt
+from oracles import ModularFunction, counted
 
 
 def test_modular_all_above_threshold():
     f = ModularFunction({e: 10.0 for e in range(6)})
-    o = f.as_oracle()
+    o = counted(f)
     st = CardinalityState(o, k=3, epsilon=0.25, opt_guess=30.0)
     for e in range(6):
         st.insert(e)
@@ -28,7 +29,7 @@ def test_modular_all_above_threshold():
 
 def test_worthless_element_lands_in_bottom_bucket():
     f = ModularFunction({0: 0.0, 1: 5.0})
-    o = f.as_oracle()
+    o = counted(f)
     st = CardinalityState(o, k=1, epsilon=0.5, opt_guess=5.0)
     st.insert(0)
     assert st.solution() == frozenset()
@@ -36,7 +37,7 @@ def test_worthless_element_lands_in_bottom_bucket():
 
 
 def test_duplicate_insert_rejected():
-    o = ModularFunction({0: 1.0}).as_oracle()
+    o = counted(ModularFunction({0: 1.0}))
     st = CardinalityState(o, k=1, epsilon=0.5, opt_guess=1.0)
     st.insert(0)
     with pytest.raises(ValueError):
@@ -52,8 +53,8 @@ def test_non_monotone_oracle_flagged():
 
 def test_monotone_chain_and_bucket_soundness():
     f = random_coverage(20, 15, seed=3)
-    o = f.as_oracle()
-    probe = f.as_oracle()
+    o = counted(f)
+    probe = counted(f)
     _, opt = brute_force_opt(probe, k=3)
     st = CardinalityState(o, k=3, epsilon=0.25, opt_guess=opt)
     prev = frozenset()
@@ -73,8 +74,8 @@ def test_monotone_chain_and_bucket_soundness():
 def test_query_budget_exact_constant():
     for seed in range(5):
         f = random_coverage(18, 12, seed=seed)
-        o = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), k=3)
+        o = counted(f)
+        _, opt = brute_force_opt(counted(f), k=3)
         st = CardinalityState(o, k=3, epsilon=0.25, opt_guess=opt)
         for e in sorted(f.ground):
             st.insert(e)
@@ -86,9 +87,9 @@ def test_approximation_at_threshold_crossing():
     bound = 1 - 1 / math.e - 0.25
     for seed in range(8):
         f = random_coverage(14, 12, seed=seed)
-        probe = f.as_oracle()
+        probe = counted(f)
         _, opt = brute_force_opt(probe, k=3)
-        st = CardinalityState(f.as_oracle(), k=3, epsilon=0.25, opt_guess=opt)
+        st = CardinalityState(counted(f), k=3, epsilon=0.25, opt_guess=opt)
         elems = sorted(f.ground)
         crossed = False
         for t, e in enumerate(elems, 1):
@@ -103,7 +104,7 @@ def test_approximation_at_threshold_crossing():
 
 def test_ladder_window_index():
     f = ModularFunction({0: 1.0, 1: 0.5})
-    lad = GuessLadder(f.as_oracle(), k=2, epsilon=0.25)
+    lad = GuessLadder(counted(f), k=2, epsilon=0.25)
     lad.insert(0)
     assert lad.i_t == 0  # log_{1+eps} 1 = 0
     i_before = lad.i_t
@@ -113,7 +114,7 @@ def test_ladder_window_index():
 
 def test_ladder_ignores_worthless_prefix():
     f = ModularFunction({0: 0.0, 1: 2.0})
-    lad = GuessLadder(f.as_oracle(), k=1, epsilon=0.5)
+    lad = GuessLadder(counted(f), k=1, epsilon=0.5)
     lad.insert(0)
     assert lad.solution() == frozenset()
     lad.insert(1)
@@ -128,8 +129,8 @@ def test_ladder_per_round_ratio():
     target = 1 - 1 / math.e - 2 * 0.25
     for seed in range(5):
         f = random_coverage(12, 10, seed=seed)
-        probe = f.as_oracle()
-        lad = GuessLadder(f.as_oracle(), k=3, epsilon=0.25)
+        probe = counted(f)
+        lad = GuessLadder(counted(f), k=3, epsilon=0.25)
         elems = sorted(f.ground)
         for t, e in enumerate(elems, 1):
             lad.insert(e)
@@ -140,7 +141,7 @@ def test_ladder_per_round_ratio():
 
 @pytest.mark.parametrize("opt_guess", [0.0, -1.0, math.inf, math.nan])
 def test_opt_guess_must_be_positive_and_finite(opt_guess):
-    o = ModularFunction({0: 1.0}).as_oracle()
+    o = counted(ModularFunction({0: 1.0}))
     with pytest.raises(ValueError, match="opt_guess"):
         CardinalityState(o, k=1, epsilon=0.5, opt_guess=opt_guess)
 
@@ -154,8 +155,8 @@ def test_bucket_soundness_and_charged_ceiling(n, items, seed, k, epsilon,
                                               opt_guess, data):
     f = random_coverage(n, items, seed=seed, weighted=True)
     order = data.draw(st.permutations(sorted(f.ground)))
-    probe = f.as_oracle()
-    eng = CardinalityState(f.as_oracle(), k, epsilon, opt_guess)
+    probe = counted(f)
+    eng = CardinalityState(counted(f), k, epsilon, opt_guess)
     for e in order:
         full = len(eng.solution()) == k
         before = (eng.oracle.count, eng.f_of_S, [set(b) for b in eng.buckets])
@@ -196,10 +197,10 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
                                                opt_guess, data):
     f = random_coverage(n, items, seed=seed, weighted=True)
     order = data.draw(st.permutations(sorted(f.ground)))
-    eng = CardinalityState(f.as_oracle(), k, epsilon, opt_guess)
-    ref = QueryEveryInsert(f.as_oracle(), k, epsilon, opt_guess)
-    lad = GuessLadder(f.as_oracle(), k, epsilon)
-    ref_lad = GuessLadder(f.as_oracle(), k, epsilon)
+    eng = CardinalityState(counted(f), k, epsilon, opt_guess)
+    ref = QueryEveryInsert(counted(f), k, epsilon, opt_guess)
+    lad = GuessLadder(counted(f), k, epsilon)
+    ref_lad = GuessLadder(counted(f), k, epsilon)
     for e in order:
         eng.insert(e)
         ref.insert(e)
@@ -217,7 +218,7 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
 def test_ladder_query_count_pinned():
     # engines that query every insert (QueryEveryInsert) make 15,701
     f = random_coverage(500, 2000, 1, weighted=True)
-    o = f.as_oracle()
+    o = counted(f)
     lad = GuessLadder(o, 50, 0.2)
     for e in sorted(f.ground):
         lad.insert(e)

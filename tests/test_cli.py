@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from dynsub.cli import main
-from dynsub.harness import load_report_json
 from dynsub.streams import Stream
+from oracles import load_report_json
 
 
 def test_gen_then_verify_bipartite(tmp_path, capsys):
@@ -92,6 +92,10 @@ def test_verify_mistyped_bipartite_field(tmp_path, capsys):
     (["--family", "bipartite", "--beta", "-0.5"], "beta must be in (0, 1)"),
     (["--family", "bipartite", "--m", "0"], "m must be >= 1"),
     (["--family", "tree", "--arities", "2,x"], "bad --arities '2,x'"),
+    (["--family", "bipartite", "--eps", "0.1"],
+     "eps must be above sqrt(1/90) ~ 0.1054"),
+    (["--family", "bipartite", "--alpha", "nan"],
+     "part_alpha must be in (0, 1)"),
 ])
 def test_gen_stream_refuses_bad_parameters(flags, needle, tmp_path, capsys):
     out = tmp_path / "bad.stream"
@@ -196,6 +200,12 @@ HALF = ["run", "--algo", "matroid-half", "--oracle", "random:6:5:0"]
      "unrecognized arguments: --seed 3"),
     (BENCH + ["--seed", "3", "--sweep", "k=1,2"],
      "unrecognized arguments: --seed 3"),
+    (RUN + ["--oracle", "random:-1:5:0", "--k", "2", "--epsilon", "0.5"],
+     "bad oracle spec 'random:-1:5:0': n_elements must be >= 1"),
+    (RUN + ["--oracle", "random:0:5:0", "--k", "2", "--epsilon", "0.5"],
+     "bad oracle spec 'random:0:5:0': n_elements must be >= 1"),
+    (RUN + ["--oracle", "random:4:0:0", "--k", "2", "--epsilon", "0.5"],
+     "bad oracle spec 'random:4:0:0': n_items must be >= 1"),
 ])
 def test_bad_run_parameters_exit_1(argv, needle, capsys):
     # refused before any run starts
@@ -270,6 +280,25 @@ def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert str(part) in err and f"line 3: {line!r}" in err
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("coverage 1 1\nw a inf\ne 0 : a\n", "line 2: 'w a inf'"),
+    ("coverage 1 1\nw a nan\ne 0 : a\n", "line 2: 'w a nan'"),
+    ("coverage 1 1\nw a heavy\ne 0 : a\n", "line 2: 'w a heavy'"),
+    ("coverage 1 1\ne x : a\n", "line 2: 'e x : a'"),
+    ("coverage 1 2\ne 0 : a\ne 0 : b\n", "line 3: 'e 0 : b'"),
+    ("coverage 5 3\ne 0 : a\n",
+     "line 1: 'coverage 5 3', but the file has 1 elements and 1 items"),
+])
+def test_run_names_a_bad_coverage_line(tmp_path, capsys, text, bad):
+    cov = tmp_path / "cov.txt"
+    cov.write_text(text)
+    assert main(RUN + ["--oracle", str(cov), "--k", "2", "--epsilon",
+                       "0.3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert str(cov) in err and bad in err
 
 
 @pytest.mark.parametrize("spec", ["uniform:abc", "uniform:", "uniform:-1"])

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from dynsub import harness
 from dynsub.harness import (RoundRecord, RunConfig, UnsupportedOpError,
-                            emit_report, load_report_json, offline_greedy,
-                            parse_config, run_stream)
+                            emit_report, offline_greedy, parse_config,
+                            run_stream)
 from dynsub.matroids import PartitionMatroid
-from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
+from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.oracle import EnumerationBudgetError, brute_force_opt
 from dynsub.streams import DELETE, INSERT, Stream, StreamOp
+from oracles import ModularFunction, counted, load_report_json
 
 
 def test_empty_stream():
@@ -61,7 +62,7 @@ def test_probe_queries_not_charged_to_algorithm():
 def test_fixed_target_amortized_budget():
     f = random_coverage(12, 10, seed=3)
     from dynsub.oracle import brute_force_opt
-    _, opt = brute_force_opt(f.as_oracle(), k=3)
+    _, opt = brute_force_opt(counted(f), k=3)
     cfg = RunConfig(algo="card", k=3, epsilon=0.25, opt_value=opt)
     records, _ = run_stream(cfg, f, Stream.inserts(sorted(f.ground)))
     n = records[-1].t
@@ -188,7 +189,7 @@ def test_offline_greedy_respects_matroid():
     from dynsub.matroids import PartitionMatroid
     f = random_coverage(8, 8, seed=6)
     M = PartitionMatroid({e: e % 2 for e in range(8)}, {0: 1, 1: 1})
-    S, _ = offline_greedy(f.as_oracle(), f.ground, matroid=M)
+    S, _ = offline_greedy(counted(f), f.ground, matroid=M)
     assert M.is_independent(S)
 
 
@@ -218,7 +219,7 @@ def test_matroid_half_exhaustive_dominates_guided():
     from dynsub.oracle import brute_force_opt
     f = random_coverage(8, 8, seed=8)
     M = UniformMatroid(2, f.ground)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     stream = Stream.inserts(sorted(f.ground))
     values = {}
     for mode in ("guided", "exhaustive"):  # k=2, eps=0.5: 455 branch tuples
@@ -289,7 +290,7 @@ def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
     refused = False
     for rec, fallback in zip(records, bounds, strict=True):
         try:
-            _, opt = brute_force_opt(f.as_oracle(), ground=order[:rec.t],
+            _, opt = brute_force_opt(counted(f), ground=order[:rec.t],
                                      budget=budget, **constraint)
         except EnumerationBudgetError:
             refused, opt = True, fallback.opt

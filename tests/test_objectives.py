@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import tempfile
@@ -10,6 +11,7 @@ from dynsub.objectives import (CoverageFunction, multilinear_exact,
                                multilinear_shifts, plus_direction,
                                random_coverage)
 from dynsub.oracle import EnumerationBudgetError
+from oracles import dump_coverage
 
 
 def test_coverage_eval_example():
@@ -22,7 +24,7 @@ def test_coverage_eval_example():
 def test_coverage_file_round_trip(tmp_path):
     f = random_coverage(6, 7, seed=1, weighted=True)
     p = tmp_path / "cov.txt"
-    f.dump(p)
+    dump_coverage(f, p)
     g = CoverageFunction.load(p)
     assert g.covers == f.covers
     for item, w in f.universe:
@@ -33,12 +35,33 @@ def test_coverage_file_round_trip(tmp_path):
         assert f(S) == g(S)
 
 
-@pytest.mark.parametrize("line", ["e 0", "e 0 a", "w a", "w a 1 2", "x"])
+@pytest.mark.parametrize("line", [
+    "e 0", "e 0 a", "w a", "w a 1 2", "x",
+    "w a inf", "w a nan", "w a -1", "e x : a", "w a heavy",
+    "e 0 : a\ne 0 : a",  # a second line for element 0
+    "e 0 : a\ne 1 : a",  # two elements under a header that counts one
+])
 def test_coverage_load_rejects_malformed_line(tmp_path, line):
     p = tmp_path / "cov.txt"
     p.write_text(f"coverage 1 1\nw a 1.0\n{line}\n")
     with pytest.raises(ValueError, match="bad"):
         CoverageFunction.load(p)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])
+def test_coverage_refuses_a_negative_or_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        CoverageFunction([("a", 1.0), ("b", weight)], {0: {"a", "b"}})
+
+
+@pytest.mark.parametrize("n_elements, n_items, needle", [
+    (0, 5, "n_elements must be >= 1"),
+    (-1, 5, "n_elements must be >= 1"),
+    (4, 0, "n_items must be >= 1"),
+])
+def test_random_coverage_refuses_an_empty_size(n_elements, n_items, needle):
+    with pytest.raises(ValueError, match=needle):
+        random_coverage(n_elements, n_items, seed=0)
 
 
 def _reference_value(f, S):
@@ -90,7 +113,7 @@ def test_indexed_coverage_bit_identical_to_universe_scan(case):
     f, sets, points = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cov.txt")
-        f.dump(path)
+        dump_coverage(f, path)
         g = CoverageFunction.load(path)
     for h in (f, g):
         for S in sets:

@@ -4,9 +4,9 @@ import pytest
 
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
                            _sets_through, brute_force_opt)
-from dynsub.objectives import CoverageFunction, ModularFunction, random_coverage
+from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.matroids import PartitionMatroid, UniformMatroid
-from oracles import check_submodular_monotone
+from oracles import ModularFunction, check_submodular_monotone, counted
 
 
 def small_coverage():
@@ -16,7 +16,7 @@ def small_coverage():
 
 def test_eval_normalization_and_count():
     f = small_coverage()
-    o = f.as_oracle()
+    o = counted(f)
     assert o.eval(frozenset()) == 0.0
     assert o.eval(f.ground) == 3.0
     assert o.eval({1, 2}) == 3.0
@@ -24,7 +24,7 @@ def test_eval_normalization_and_count():
 
 
 def test_eval_domain_error():
-    o = small_coverage().as_oracle()
+    o = counted(small_coverage())
     with pytest.raises(DomainError):
         o.eval({99})
 
@@ -36,9 +36,9 @@ def test_offset_normalization():
 
 
 def test_property_checker_clean_oracles():
-    cov = random_coverage(8, 10, seed=0).as_oracle()
+    cov = counted(random_coverage(8, 10, seed=0))
     assert check_submodular_monotone(cov, trials=1000, seed=1).ok
-    mod = ModularFunction({e: e + 1 for e in range(6)}).as_oracle()
+    mod = counted(ModularFunction({e: e + 1 for e in range(6)}))
     assert check_submodular_monotone(mod, trials=1000, seed=2).ok
 
 
@@ -49,18 +49,18 @@ def test_property_checker_flags_supermodular():
 
 
 def test_brute_force_cardinality():
-    mod = ModularFunction({0: 3.0, 1: 1.0, 2: 2.0}).as_oracle()
+    mod = counted(ModularFunction({0: 3.0, 1: 1.0, 2: 2.0}))
     S, v = brute_force_opt(mod, k=0)
     assert S == frozenset() and v == 0.0
     S, v = brute_force_opt(mod, k=2)
     assert v == 5.0 and S == {0, 2}
-    cov = small_coverage().as_oracle()
+    cov = counted(small_coverage())
     _, v = brute_force_opt(cov, k=1)
     assert v == 2.0
 
 
 def test_brute_force_budget_guard():
-    cov = random_coverage(25, 10, seed=4).as_oracle()
+    cov = counted(random_coverage(25, 10, seed=4))
     with pytest.raises(EnumerationBudgetError):
         brute_force_opt(cov, k=10, budget=100)
 
@@ -68,7 +68,7 @@ def test_brute_force_budget_guard():
 def test_brute_force_matroid_matches_filtered_enumeration():
     f = random_coverage(8, 8, seed=5)
     M = PartitionMatroid({e: e % 2 for e in range(8)}, {0: 1, 1: 2})
-    S, v = brute_force_opt(f.as_oracle(), matroid=M)
+    S, v = brute_force_opt(counted(f), matroid=M)
     assert M.is_independent(S)
     # cross-check against cardinality enumeration filtered by independence
     best = 0.0
@@ -82,13 +82,13 @@ def test_brute_force_matroid_matches_filtered_enumeration():
 def test_brute_force_returns_the_exact_maximum():
     # {1} is 2**-52 above {0}; a tie rule with 1e-15 of slack kept {0}
     f = ModularFunction({0: 0.5, 1: 0.5 + 2 ** -52})
-    S, v = brute_force_opt(f.as_oracle(), k=1)
+    S, v = brute_force_opt(counted(f), k=1)
     assert S == {1} and v == 0.5 + 2 ** -52
 
 
 def test_brute_force_ties_go_to_the_smallest_sorted_tuple():
     f = ModularFunction({0: 1.0, 1: 1.0, 2: 1.0})
-    o = f.as_oracle()
+    o = counted(f)
     assert tuple(brute_force_opt(o, k=2)) == (frozenset({0, 1}), 2.0)
     # the same winner when the tied sets are walked across a resume
     prev = brute_force_opt(o, ground={1, 2}, k=2)
@@ -104,8 +104,8 @@ def _partition_9():
 def test_brute_force_resume_matches_a_full_walk(matroid):
     f = random_coverage(9, 12, seed=6, weighted=True)
     constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
-    full = brute_force_opt(f.as_oracle(), **constraint)
-    o = f.as_oracle()
+    full = brute_force_opt(counted(f), **constraint)
+    o = counted(f)
     prev = None
     for t in (2, 3, 7, 9):
         prev = brute_force_opt(o, ground=range(t), prev=prev, **constraint)
@@ -119,8 +119,8 @@ def test_brute_force_resume_matches_a_full_walk(matroid):
 def test_brute_force_resume_budget_counts_the_whole_ground(matroid):
     f = random_coverage(9, 12, seed=7)
     constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
-    n_sets = brute_force_opt(f.as_oracle(), **constraint).count
-    o = f.as_oracle()
+    n_sets = brute_force_opt(counted(f), **constraint).count
+    o = counted(f)
     prev = brute_force_opt(o, ground=range(5), budget=n_sets, **constraint)
     with pytest.raises(EnumerationBudgetError):
         brute_force_opt(o, budget=n_sets - 1, prev=prev, **constraint)
@@ -129,7 +129,7 @@ def test_brute_force_resume_budget_counts_the_whole_ground(matroid):
 
 
 def test_brute_force_resume_needs_a_subset():
-    o = random_coverage(6, 6, seed=8).as_oracle()
+    o = counted(random_coverage(6, 6, seed=8))
     prev = brute_force_opt(o, ground={0, 5}, k=2)
     with pytest.raises(ValueError, match="subset"):
         brute_force_opt(o, ground={0, 1, 2}, k=2, prev=prev)
@@ -139,8 +139,8 @@ def test_brute_force_dominates_greedy_spotcheck():
     from dynsub.harness import offline_greedy
     for seed in range(5):
         f = random_coverage(10, 10, seed=seed)
-        _, gv = offline_greedy(f.as_oracle(), f.ground, k=3)
-        _, bv = brute_force_opt(f.as_oracle(), k=3)
+        _, gv = offline_greedy(counted(f), f.ground, k=3)
+        _, bv = brute_force_opt(counted(f), k=3)
         assert bv >= gv - 1e-12
 
 
@@ -177,12 +177,12 @@ def test_matroid_walk_yields_each_independent_set_through_new_once(
 @pytest.mark.parametrize("name", sorted(WALK_MATROIDS))
 def test_matroid_resume_matches_a_walk_from_scratch(name):
     f = random_coverage(9, 10, seed=11, weighted=True)
-    full = brute_force_opt(f.as_oracle(), matroid=WALK_MATROIDS[name]())
+    full = brute_force_opt(counted(f), matroid=WALK_MATROIDS[name]())
     for cuts in ((9,), (4, 9), (1, 5, 8, 9), (0, 9)):
         prev = None
         M = WALK_MATROIDS[name]()
         for t in cuts:
-            prev = brute_force_opt(f.as_oracle(), ground=range(t), matroid=M,
+            prev = brute_force_opt(counted(f), ground=range(t), matroid=M,
                                    prev=prev)
         assert (prev[0], repr(prev[1]), prev.count) == \
             (full[0], repr(full[1]), full.count)
@@ -194,7 +194,7 @@ def test_matroid_walk_stops_at_the_rank():
     f = random_coverage(40, 300, seed=1000, weighted=True)
     M = PartitionMatroid({e: e * 3 // 40 for e in range(40)},
                          {0: 1, 1: 1, 2: 1})
-    o = f.as_oracle()
+    o = counted(f)
     opt = brute_force_opt(o, matroid=M)
     assert (opt.count, o.count) == (2940, 2940)
     assert M.query_count == 6424

@@ -11,9 +11,10 @@ from dynsub.matroid_dynamic import (BranchParams, InvariantError,
                                     branch_count, enumerate_branches,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
-from dynsub.objectives import ModularFunction, random_coverage
+from dynsub.objectives import random_coverage
 from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
                            brute_force_opt)
+from oracles import ModularFunction, counted
 
 
 def random_partition_instance(seed, n_max=20, rank_max=4):
@@ -55,7 +56,7 @@ def test_branch_enumeration_budget():
 def test_all_zero_branch_terminates_immediately():
     f = ModularFunction({0: 1.0})
     params = BranchParams(L=2, R=3, delta=2 / 3, opt=1.0, epsilon=0.5)
-    st = PruneGreedyState(f.as_oracle(), UniformMatroid(1, {0}), params,
+    st = PruneGreedyState(counted(f), UniformMatroid(1, {0}), params,
                           (0, 0))
     st.insert(0)
     assert st.terminated and st.solution() == frozenset()
@@ -64,7 +65,7 @@ def test_all_zero_branch_terminates_immediately():
 def test_single_level_modular_hand_trace():
     f = ModularFunction({0: 0.4, 1: 2.0, 2: 3.0})
     params = BranchParams(L=1, R=1, delta=4.0, opt=2.0, epsilon=0.5)
-    st = PruneGreedyState(f.as_oracle(), UniformMatroid(1, {0, 1, 2}),
+    st = PruneGreedyState(counted(f), UniformMatroid(1, {0, 1, 2}),
                           params, (1,))
     st.insert(0)  # below the level-1 threshold of 2.0
     assert st.solution() == frozenset()
@@ -75,7 +76,7 @@ def test_single_level_modular_hand_trace():
 def test_reference_empty_prefix():
     f = ModularFunction({0: 1.0})
     params = BranchParams(L=2, R=3, delta=2 / 3, opt=1.0, epsilon=0.5)
-    res = reference_lpass([], f.as_oracle(), UniformMatroid(1, {0}),
+    res = reference_lpass([], counted(f), UniformMatroid(1, {0}),
                           params)
     assert res.T == frozenset() and res.a_star == (0, 0)
 
@@ -84,7 +85,7 @@ def test_reference_modular_two_elements():
     f = ModularFunction({0: 3.0, 1: 2.5})
     M = UniformMatroid(2, {0, 1})
     params = BranchParams.standard(2, 0.33, opt=5.5)
-    res = reference_lpass([0, 1], f.as_oracle(), M, params)
+    res = reference_lpass([0, 1], counted(f), M, params)
     # both clear the pass-1 threshold of opt/1... no: threshold is opt itself
     # at level 1 only for marginals >= opt; here neither does, they land in
     # later passes, but total mass bound still holds
@@ -94,8 +95,8 @@ def test_reference_modular_two_elements():
 def test_pruned_mass_bound():
     for seed in range(20):
         f, M, order = random_partition_instance(seed)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
@@ -107,8 +108,8 @@ def test_pruned_mass_bound():
 def test_parity_with_reference_50_seeds():
     for seed in range(50):
         f, M, order = random_partition_instance(seed)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
@@ -123,8 +124,8 @@ def test_reference_value_is_pruned_greedy_value(eps):
     # LPassResult.value is h(T) summed the way the online cache sums it
     for seed in range(200):
         f, M, order = random_partition_instance(seed + 300)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams.standard(4, eps, opt)
@@ -137,8 +138,8 @@ def test_reference_value_is_pruned_greedy_value(eps):
 def test_budget_semantics_and_feasibility():
     for seed in range(10):
         f, M, order = random_partition_instance(seed + 100)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams(L=2, R=3, delta=2 * opt / 3, opt=opt,
@@ -152,8 +153,8 @@ def test_budget_semantics_and_feasibility():
 def test_amortized_query_bound():
     for seed in range(10):
         f, M, order = random_partition_instance(seed + 200)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         params = BranchParams.standard(4, 0.33, opt)
@@ -166,9 +167,9 @@ def test_amortized_query_bound():
 
 def test_budget_check_refuses_a_branch_over_its_query_ceiling():
     f, M, order = random_partition_instance(200)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     params = BranchParams.standard(4, 0.33, opt)
-    st = run_prune_greedy(order, f.as_oracle(), M, params, (1,) * params.L)
+    st = run_prune_greedy(order, counted(f), M, params, (1,) * params.L)
     st.check_budget_semantics()
     ceiling = 4 * params.L * len(st.history) + 2
     assert 0 < st.charged <= ceiling
@@ -183,8 +184,8 @@ def test_budget_check_refuses_a_branch_over_its_query_ceiling():
 def test_guided_never_beats_exhaustive():
     for seed in range(10):
         f, M, order = random_partition_instance(seed, n_max=12)
-        oracle = f.as_oracle()
-        _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+        oracle = counted(f)
+        _, opt = brute_force_opt(counted(f), matroid=M)
         if opt <= 0:
             continue
         # delta = 2*opt/R: the pruned level values sum to < 2*opt, so the
@@ -205,7 +206,7 @@ def test_single_element_stream_uniform_one():
     f = ModularFunction({0: 4.0})
     M = UniformMatroid(1, {0})
     params = BranchParams.standard(1, 0.33, opt=4.0)
-    half = MatroidHalf(f.as_oracle(), M, params, mode="guided")
+    half = MatroidHalf(counted(f), M, params, mode="guided")
     half.insert(0)
     assert half.solution() == {0}  # f(e) >= opt/2, so it must be held
 
@@ -234,13 +235,13 @@ def test_budget_semantics_after_every_insert(n, items, seed, k_eps,
                                       for b in sorted(set(blocks.values()))})
     else:
         M = UniformMatroid(k, ground)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     assume(opt > 0)
     params = BranchParams.standard(k, eps, opt)
     # L slots of at most R // L each, so the tuple sums to at most R
     a = data.draw(st.lists(st.integers(0, params.R // params.L),
                            min_size=params.L, max_size=params.L))
-    state = PruneGreedyState(f.as_oracle(), M, params, a)
+    state = PruneGreedyState(counted(f), M, params, a)
     for e in data.draw(st.permutations(ground)):
         state.insert(e)
         state.check_budget_semantics()
@@ -270,11 +271,11 @@ def test_resumed_lpass_and_replay_equal_a_fresh_call(n, items, seed, k_eps,
                                       for b in sorted(set(blocks.values()))})
     else:
         M = UniformMatroid(k, ground)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     assume(opt > 0)
     params = BranchParams.standard(k, eps, opt_scale * opt)
     order = data.draw(st.permutations(ground))
-    oracle = f.as_oracle()
+    oracle = counted(f)
     ref = replay = None  # the last results that returned
     for t in range(len(order) + 1):
         prefix = order[:t]
@@ -296,8 +297,8 @@ def test_resumed_lpass_and_replay_equal_a_fresh_call(n, items, seed, k_eps,
 
 def test_resume_from_a_non_prefix_raises():
     f, M, order = random_partition_instance(3)
-    oracle = f.as_oracle()
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    oracle = counted(f)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     params = BranchParams.standard(4, 0.33, opt)
     ref = reference_lpass(order[:5], oracle, M, params)
     st = run_prune_greedy(order[:5], oracle, M, params, ref.a_star)
@@ -329,14 +330,14 @@ class _FailsOnce:
 @pytest.mark.parametrize("seed", range(4))
 def test_guided_solution_resumes_after_an_invariant_error(seed):
     f, M, order = random_partition_instance(seed)
-    _, opt = brute_force_opt(f.as_oracle(), matroid=M)
+    _, opt = brute_force_opt(counted(f), matroid=M)
     params = BranchParams.standard(4, 0.33, opt)
     want = []
     for t in range(1, len(order) + 1):
-        ref = reference_lpass(order[:t], f.as_oracle(), M, params)
-        want.append(run_prune_greedy(order[:t], f.as_oracle(), M, params,
+        ref = reference_lpass(order[:t], counted(f), M, params)
+        want.append(run_prune_greedy(order[:t], counted(f), M, params,
                                      ref.a_star).solution())
-    clean = f.as_oracle()
+    clean = counted(f)
     half = MatroidHalf(clean, M, params)
     for e in order:
         half.insert(e)
@@ -363,9 +364,9 @@ def test_guided_every_round_queries_are_pinned():
     f = random_coverage(30, 40, 5, weighted=True)
     order = sorted(f.ground)
     M = UniformMatroid(3, order)
-    _, opt = brute_force_opt(f.as_oracle(), k=3)
+    _, opt = brute_force_opt(counted(f), k=3)
     params = BranchParams.standard(3, 0.33, opt)
-    half_oracle, rerun_oracle = f.as_oracle(), f.as_oracle()
+    half_oracle, rerun_oracle = counted(f), counted(f)
     half = MatroidHalf(half_oracle, M, params)
     for t, e in enumerate(order, start=1):
         half.insert(e)
