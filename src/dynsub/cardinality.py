@@ -130,8 +130,14 @@ class GuessLadder:
     def insert(self, e) -> None:
         v = self.oracle.eval({e})
         if v > self.v_max:
-            self.v_max = v
-            self.i_t = math.floor(math.log(self.v_max) / math.log1p(self.epsilon))
+            try:  # the window's top target must be a float
+                i_t = math.floor(math.log(v) / math.log1p(self.epsilon))
+                (1.0 + self.epsilon) ** (i_t + self.window_length)
+            except OverflowError:
+                raise ValueError(f"singleton value {v} puts the guess "
+                                 f"ladder's targets past the float range"
+                                 ) from None
+            self.v_max, self.i_t = v, i_t
         if self.i_t is None:  # all singletons worthless so far
             return
         window = range(self.i_t, self.i_t + self.window_length + 1)

@@ -22,6 +22,9 @@ USAGE_ERROR = 1
 INVARIANT_ERROR = 2
 
 _RUN_FIELDS = {f.name for f in fields(RunConfig)}
+# the gen-stream flags only one family takes; one left out is not in args
+_FAMILY_FLAGS = {"bipartite": ("m", "w", "alpha", "beta"),
+                 "tree": ("arities", "d")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,22 +99,32 @@ def _cmd_run(args, loaded) -> int:
 
 
 def _cmd_gen_stream(args) -> int:
+    given = vars(args)
+    for family, names in _FAMILY_FLAGS.items():
+        stray = [n for n in names if n in given and family != args.family]
+        if stray:
+            raise ValueError(f"gen-stream --family {args.family} takes no "
+                             f"--{stray[0]}")
     if args.family == "bipartite":
+        # --alpha and --beta left out take BipartiteInstance's defaults
+        shape = {key: given[n] for n, key in (("alpha", "part_alpha"),
+                                              ("beta", "beta")) if n in given}
         inst = hard_bipartite.BipartiteInstance(
-            m=args.m, k=args.k, w=args.w, eps=args.eps,
-            part_alpha=args.alpha, beta=args.beta, seed=args.seed)
+            m=given.get("m", 3), k=args.k, w=given.get("w", 2), eps=args.eps,
+            seed=args.seed, **shape)
         stream = hard_bipartite.bipartite_stream(inst)
         desc = hard_bipartite.bipartite_descriptor(inst)
     else:
+        spec, d = given.get("arities", "2,1"), given.get("d", 1)
         try:
-            arities = tuple(int(s) for s in args.arities.split(","))
+            arities = tuple(int(s) for s in spec.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad --arities {args.arities!r}: {exc}") from None
+            raise ValueError(f"bad --arities {spec!r}: {exc}") from None
         inst = hard_tree.ShuffledTreeInstance(
             k=args.k, eps=args.eps, arities=arities,
             pi=hard_tree.random_tree_pi(arities, args.seed))
-        stream = hard_tree.traverse_stream(inst, args.d)
-        desc = hard_tree.tree_descriptor(inst, args.seed, args.d)
+        stream = hard_tree.traverse_stream(inst, d)
+        desc = hard_tree.tree_descriptor(inst, args.seed, d)
     stream.dump(args.out)
     desc_path = args.desc or args.out + ".json"
     with open(desc_path, "w") as fh:
@@ -183,14 +196,11 @@ def _parsers():
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--desc")
-    p_gen.add_argument("--m", type=int, default=3)
     p_gen.add_argument("--k", type=int, default=4)
-    p_gen.add_argument("--w", type=int, default=2)
     p_gen.add_argument("--eps", type=float, default=0.5)
-    p_gen.add_argument("--alpha", type=float, default=0.5)
-    p_gen.add_argument("--beta", type=float, default=0.42)
-    p_gen.add_argument("--arities", default="2,1")
-    p_gen.add_argument("--d", type=int, default=1)
+    for flag, kind in (("--m", int), ("--w", int), ("--alpha", float),
+                       ("--beta", float), ("--arities", str), ("--d", int)):
+        p_gen.add_argument(flag, type=kind, default=argparse.SUPPRESS)
 
     p_ver = sub.add_parser("verify-hard", help="check instance invariants")
     p_ver.add_argument("--instance", required=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import (multilinear_exact, multilinear_shifts,
@@ -87,10 +88,13 @@ class PruneGreedyState:
     Accepts an element at the active level ell* when it is feasible and
     its h-marginal clears the level threshold; acceptance spends the
     level budget.  When a budget runs out the state advances to the
-    next funded level and rescans its full history.
+    next funded level and rescans the elements it has taken.  It takes
+    them in order from `history`, a list its owner only appends to, when
+    feed() is called; `fed` counts them.
     """
 
-    def __init__(self, h: CountedOracle, M, params: BranchParams, a):
+    def __init__(self, h: CountedOracle, M, params: BranchParams, a,
+                 history: list):
         a = tuple(int(v) for v in a)
         if len(a) != params.L or any(v < 0 for v in a):
             raise ValueError("branch tuple must be L non-negative integers")
@@ -104,8 +108,9 @@ class PruneGreedyState:
         self.ell = next((i + 1 for i, b in enumerate(self.c) if b > 0.0), None)
         self._in_S: set = set()
         self.h_of_S = 0.0
-        self.history: list[int] = []
-        self.terminated = False
+        self.history = history
+        self.fed = 0
+        self.terminated = self.ell is None  # no funded level at all
         self.charged = 0
 
     def _try_accept(self, e) -> bool:
@@ -133,23 +138,17 @@ class PruneGreedyState:
                 self.terminated = True
                 return
             self.ell = nxt
-            exhausted = False
-            for e in list(self.history):
-                if self._try_accept(e):
-                    exhausted = True
-                    break
-            if not exhausted:
+            if not any(map(self._try_accept, islice(self.history, self.fed))):
                 return
 
-    def insert(self, e) -> None:
-        if self.terminated:
-            return
-        self.history.append(e)
-        if self.ell is None:  # no funded level at all
-            self.terminated = True
-            return
-        if self._try_accept(e):
-            self._revoke()
+    def feed(self) -> None:
+        """Takes the elements of the history not taken yet, up to the
+        one that terminates the branch."""
+        while not self.terminated and self.fed < len(self.history):
+            e = self.history[self.fed]
+            self.fed += 1
+            if self._try_accept(e):
+                self._revoke()
 
     def solution(self) -> frozenset:
         return frozenset(self._in_S)
@@ -159,7 +158,7 @@ class PruneGreedyState:
         4*L*inserts + 2: an insert tests its element once and each of
         fewer than L level advances rescans the history, at 2 charged
         queries a test."""
-        ceiling = 4 * self.params.L * len(self.history) + 2
+        ceiling = 4 * self.params.L * self.fed + 2
         if self.charged > ceiling:
             raise InvariantError(f"charged {self.charged} queries, over the "
                                  f"ceiling 4*L*inserts + 2 = {ceiling}")
@@ -176,17 +175,19 @@ class PruneGreedyState:
 
 @dataclass
 class LPassResult:
-    """The branch tuple `reference_lpass` certifies for a prefix, and
-    what a call over a longer prefix resumes from."""
+    """The branch tuple `reference_lpass` certifies for the first
+    `walked` elements of `history`, and what a call over more of that
+    list resumes from."""
     a_star: tuple
     T: frozenset
     value: float  # h(T) accumulated the pruned-greedy way
-    prefix: tuple  # the elements the passes walked
+    history: list  # the list the passes walked, not a copy of it
+    walked: int  # how many of its elements they walked
     # per pass ell: (base_val, S_ell), S_ell as ((element, marginal), ...)
     passes: tuple
 
 
-def reference_lpass(prefix, h: CountedOracle, M, params: BranchParams,
+def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
                     prev: LPassResult | None = None) -> LPassResult:
     """Offline L-pass greedy with per-pass floor-rounded pruning.
 
@@ -195,21 +196,18 @@ def reference_lpass(prefix, h: CountedOracle, M, params: BranchParams,
     S_ell whose accumulated marginal mass exhausts a*_ell * delta,
     mirroring the online budget arithmetic operation for operation.
 
-    `prev`, the result of an earlier call over a prefix of `prefix`
-    (ValueError otherwise), makes the call walk only the new elements
-    in each pass ell whose a*_1 .. a*_{ell-1} are unchanged: T_1 ..
+    `prev`, the result of an earlier call over this same list, which
+    has only grown since, makes the call walk only the new elements in
+    each pass ell whose a*_1 .. a*_{ell-1} are unchanged: T_1 ..
     T_{ell-1}, and so pass ell's scan up to there, are then those of
     `prev`.  The passes after the first changed a*_ell walk the whole
-    prefix again.  The result, and any InvariantError, is that of a
-    call without `prev`; only the number of queries differs.
+    list again.  A `prev` over another list is ignored.  The result,
+    and any InvariantError, is that of a call without `prev`; only the
+    number of queries differs.
     """
-    prefix = tuple(prefix)
-    done = 0  # elements of prefix the passes of prev have walked
-    if prev is not None:
-        done = len(prev.prefix)
-        if prefix[:done] != prev.prefix:
-            raise ValueError("prev is the L-pass of a sequence that does not "
-                             "begin this prefix")
+    walked = len(history)
+    if prev is not None and prev.history is not history:
+        prev = None
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
@@ -221,13 +219,14 @@ def reference_lpass(prefix, h: CountedOracle, M, params: BranchParams,
         # iterate in the same order and order-sensitive sums agree
         base = set(T_set)
         if prev is None:
-            base_val, S_ell, scan = t_val, [], prefix
+            base_val, S_ell, start = t_val, [], 0
         else:
             base_val, S_ell = prev.passes[level - 1]
             S_ell = list(S_ell)
             base.update(e for e, _ in S_ell)
-            scan = prefix[done:]
-        for e in scan:
+            start = prev.walked
+        for i in range(start, walked):
+            e = history[i]
             if e in base:
                 continue
             cand = frozenset(base | {e})
@@ -260,35 +259,24 @@ def reference_lpass(prefix, h: CountedOracle, M, params: BranchParams,
             f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
             "opt is likely mis-scaled")
     return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val,
-                       prefix=prefix, passes=tuple(passes))
+                       history=history, walked=walked, passes=tuple(passes))
 
 
-def run_prune_greedy(prefix, h: CountedOracle, M, params: BranchParams,
+def run_prune_greedy(history: list, h: CountedOracle, M, params: BranchParams,
                      a, prev: PruneGreedyState | None = None
                      ) -> PruneGreedyState:
-    """The pruned greedy at branch tuple `a` after `prefix`.
+    """The pruned greedy at branch tuple `a` over the list `history`.
 
-    `prev`, a state an earlier call returned for a prefix of `prefix`,
-    is fed the new elements in place and returned when its branch tuple
-    is `a`; a terminated one takes none.  ValueError when the elements
-    `prev` took (its history, which ends at the one that terminated it)
-    do not begin `prefix`.  After a call that raised, pass a state from
-    before it or None.
+    `prev`, a state an earlier call returned over this same list, which
+    has only grown since, is fed the new elements in place and returned
+    when its branch tuple is `a`; a terminated one takes none.  Any
+    other `prev` is ignored.  After a call that raised, pass a state
+    from before it or None.
     """
-    prefix = list(prefix)
-    fed = 0
-    if prev is not None:
-        fed = len(prev.history)
-        if prefix[:fed] != prev.history:
-            raise ValueError("prev was fed a sequence that does not begin "
-                             "this prefix")
     state = prev
-    if prev is None or prev.a != tuple(a):
-        state, fed = PruneGreedyState(h, M, params, a), 0
-    for e in prefix[fed:]:
-        if state.terminated:
-            break
-        state.insert(e)
+    if prev is None or prev.history is not history or prev.a != tuple(a):
+        state = PruneGreedyState(h, M, params, a, history)
+    state.feed()
     return state
 
 
@@ -302,7 +290,9 @@ class MatroidHalf:
     L-pass walks only the new elements until some a*_ell changes, and
     the pruned greedy is fed only the new elements until a* changes.
     insert makes no query.  Exhaustive mode keeps one pruned-greedy
-    state per branch tuple and reports the best by value.
+    state per branch tuple and reports the best by value.  `history` is
+    the only list of the stream the runner keeps: each branch and
+    L-pass reads it and counts how far.
     """
 
     def __init__(self, oracle: CountedOracle, M, params: BranchParams,
@@ -314,7 +304,7 @@ class MatroidHalf:
         self.params = params
         self.mode = mode
         self.history: list[int] = []
-        self.states = ([PruneGreedyState(oracle, M, params, a)
+        self.states = ([PruneGreedyState(oracle, M, params, a, self.history)
                         for a in enumerate_branches(params.L, params.R)]
                        if mode == "exhaustive" else [])
         self._lpass: LPassResult | None = None  # last L-pass that returned
@@ -323,7 +313,7 @@ class MatroidHalf:
     def insert(self, e) -> None:
         self.history.append(e)
         for st in self.states:
-            st.insert(e)
+            st.feed()
 
     def solution(self) -> frozenset:
         if self.mode == "guided":

@@ -33,9 +33,11 @@ class CoverageFunction:
         if len(self.weights) != len(self.universe):
             raise ValueError("duplicate universe items")
         weights = self.weights.values()
-        if not (all(map(math.isfinite, weights))
-                and min(weights, default=0.0) >= 0.0):
-            raise ValueError("item weights must be finite and >= 0")
+        # a finite total keeps every f(S), a part of it, finite too
+        total = sum(weights)
+        if not (math.isfinite(total) and min(weights, default=0.0) >= 0.0):
+            raise ValueError(f"item weights must be finite and >= 0, with a "
+                             f"finite total, got total {total}")
         self.covers = {int(e): frozenset(items) for e, items in covers.items()}
         # universe position of each item; a failed lookup is an unknown item
         position = dict(zip(self.weights, range(len(self.universe)))).__getitem__
@@ -68,10 +70,12 @@ class CoverageFunction:
     @classmethod
     def load(cls, path) -> "CoverageFunction":
         """A `coverage <elements> <items>` header, one `e <id> : <item> ...`
-        line per element, and `w <item> <weight>` lines; an item without
-        one weighs 1.0.  Items are in the order they first appear."""
+        line per element, and at most one `w <item> <weight>` line per
+        item; an item without one weighs 1.0.  Items are in the order
+        they first appear."""
         covers = {}
         weights = {}
+        weighed = set()  # the items a `w` line has set
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 3 or header[0] != "coverage":
@@ -88,7 +92,9 @@ class CoverageFunction:
                         covers[eid] = set(tok[3:])
                         for it in tok[3:]:
                             weights.setdefault(it, 1.0)
-                    elif tok[0] == "w" and len(tok) == 3:
+                    elif (tok[0] == "w" and len(tok) == 3
+                          and tok[1] not in weighed):
+                        weighed.add(tok[1])
                         weights[tok[1]] = w = float(tok[2])
                         if not 0.0 <= w < math.inf:
                             raise ValueError

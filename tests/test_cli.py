@@ -96,6 +96,13 @@ def test_verify_mistyped_bipartite_field(tmp_path, capsys):
      "eps must be above sqrt(1/90) ~ 0.1054"),
     (["--family", "bipartite", "--alpha", "nan"],
      "part_alpha must be in (0, 1)"),
+    (["--family", "tree", "--k", "9", "--eps", "0.3333333333333333",
+      "--arities", "3,2,1", "--d", "2", "--m", "7", "--alpha", "0.9",
+      "--w", "5"], "--family tree takes no --m"),
+    (["--family", "tree", "--beta", "0.3"], "--family tree takes no --beta"),
+    (["--family", "bipartite", "--arities", "1,2", "--d", "3"],
+     "--family bipartite takes no --arities"),
+    (["--family", "bipartite", "--d", "3"], "--family bipartite takes no --d"),
 ])
 def test_gen_stream_refuses_bad_parameters(flags, needle, tmp_path, capsys):
     out = tmp_path / "bad.stream"
@@ -286,6 +293,7 @@ def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
     ("coverage 1 1\nw a inf\ne 0 : a\n", "line 2: 'w a inf'"),
     ("coverage 1 1\nw a nan\ne 0 : a\n", "line 2: 'w a nan'"),
     ("coverage 1 1\nw a heavy\ne 0 : a\n", "line 2: 'w a heavy'"),
+    ("coverage 1 1\nw a 1\nw a 5\ne 0 : a\n", "line 3: 'w a 5'"),
     ("coverage 1 1\ne x : a\n", "line 2: 'e x : a'"),
     ("coverage 1 2\ne 0 : a\ne 0 : b\n", "line 3: 'e 0 : b'"),
     ("coverage 5 3\ne 0 : a\n",
@@ -299,6 +307,28 @@ def test_run_names_a_bad_coverage_line(tmp_path, capsys, text, bad):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert str(cov) in err and bad in err
+
+
+OVERFLOWING = "coverage 2 2\nw a 1e308\nw b 1e308\ne 0 : a\ne 1 : b\n"
+HUGE = "coverage 2 2\nw a 1e300\nw b 1.7e308\ne 0 : a\ne 1 : b\n"
+
+
+@pytest.mark.parametrize("text, algo, needle", [
+    (OVERFLOWING, ["--algo", "card", "--opt", "1e300"], "got total inf"),
+    (OVERFLOWING, ["--algo", "card-ladder"], "got total inf"),
+    # the total is finite, but the ladder's targets above 1.7e308 are not
+    (HUGE, ["--algo", "card-ladder"],
+     "singleton value 1.7e+308 puts the guess ladder's targets past"),
+])
+def test_run_refuses_weights_that_overflow(tmp_path, capsys, text, algo,
+                                           needle):
+    cov = tmp_path / "cov.txt"
+    cov.write_text(text)
+    assert main(["run", "--oracle", str(cov), "--k", "2", "--epsilon", "0.3"]
+                + algo) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert needle in err
 
 
 @pytest.mark.parametrize("spec", ["uniform:abc", "uniform:", "uniform:-1"])

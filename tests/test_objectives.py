@@ -40,12 +40,20 @@ def test_coverage_file_round_trip(tmp_path):
     "w a inf", "w a nan", "w a -1", "e x : a", "w a heavy",
     "e 0 : a\ne 0 : a",  # a second line for element 0
     "e 0 : a\ne 1 : a",  # two elements under a header that counts one
+    "w a 5\ne 0 : a",  # a second weight line for item a
 ])
 def test_coverage_load_rejects_malformed_line(tmp_path, line):
     p = tmp_path / "cov.txt"
     p.write_text(f"coverage 1 1\nw a 1.0\n{line}\n")
     with pytest.raises(ValueError, match="bad"):
         CoverageFunction.load(p)
+
+
+def test_coverage_load_weighs_an_item_after_its_element_line(tmp_path):
+    # the 1.0 an `e` line gives an item is a default, not a weight line
+    p = tmp_path / "cov.txt"
+    p.write_text("coverage 1 1\ne 0 : a\nw a 5\n")
+    assert CoverageFunction.load(p).weights == {"a": 5.0}
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])

@@ -56,21 +56,25 @@ def test_branch_enumeration_budget():
 def test_all_zero_branch_terminates_immediately():
     f = ModularFunction({0: 1.0})
     params = BranchParams(L=2, R=3, delta=2 / 3, opt=1.0, epsilon=0.5)
+    history = [0]
     st = PruneGreedyState(counted(f), UniformMatroid(1, {0}), params,
-                          (0, 0))
-    st.insert(0)
-    assert st.terminated and st.solution() == frozenset()
+                          (0, 0), history)
+    st.feed()
+    assert st.terminated and st.solution() == frozenset() and st.fed == 0
 
 
 def test_single_level_modular_hand_trace():
     f = ModularFunction({0: 0.4, 1: 2.0, 2: 3.0})
     params = BranchParams(L=1, R=1, delta=4.0, opt=2.0, epsilon=0.5)
+    history = []
     st = PruneGreedyState(counted(f), UniformMatroid(1, {0, 1, 2}),
-                          params, (1,))
-    st.insert(0)  # below the level-1 threshold of 2.0
-    assert st.solution() == frozenset()
-    st.insert(1)  # accepted; budget 4.0 - 2.0 stays positive
-    assert st.solution() == {1} and not st.terminated
+                          params, (1,), history)
+    history.append(0)
+    st.feed()  # below the level-1 threshold of 2.0
+    assert st.solution() == frozenset() and st.fed == 1
+    history.append(1)
+    st.feed()  # accepted; budget 4.0 - 2.0 stays positive
+    assert st.solution() == {1} and not st.terminated and st.fed == 2
 
 
 def test_reference_empty_prefix():
@@ -171,7 +175,7 @@ def test_budget_check_refuses_a_branch_over_its_query_ceiling():
     params = BranchParams.standard(4, 0.33, opt)
     st = run_prune_greedy(order, counted(f), M, params, (1,) * params.L)
     st.check_budget_semantics()
-    ceiling = 4 * params.L * len(st.history) + 2
+    ceiling = 4 * params.L * st.fed + 2
     assert 0 < st.charged <= ceiling
     st.charged = ceiling
     st.check_budget_semantics()
@@ -200,6 +204,26 @@ def test_guided_never_beats_exhaustive():
             vg = oracle.eval(guided.solution())
             ve = oracle.eval(exhaustive.solution())
             assert ve >= vg - 1e-12
+
+
+def test_branches_and_lpass_hold_the_runner_history():
+    # one list of the stream per runner: every branch and the guided
+    # L-pass and replay read the runner's own history, not a copy
+    f, M, order = random_partition_instance(5, n_max=12)
+    _, opt = brute_force_opt(counted(f), matroid=M)
+    params = BranchParams(L=2, R=3, delta=2 * opt / 3, opt=opt, epsilon=0.33)
+    guided = MatroidHalf(counted(f), M, params, mode="guided")
+    exhaustive = MatroidHalf(counted(f), M, params, mode="exhaustive")
+    for e in order:
+        guided.insert(e)
+        exhaustive.insert(e)
+        guided.solution()
+        assert guided._lpass.history is guided.history
+        assert guided._lpass.walked == len(guided.history)
+        assert guided._replay.history is guided.history
+        assert all(st.history is exhaustive.history
+                   for st in exhaustive.states)
+    assert guided.history == exhaustive.history == order
 
 
 def test_single_element_stream_uniform_one():
@@ -241,16 +265,18 @@ def test_budget_semantics_after_every_insert(n, items, seed, k_eps,
     # L slots of at most R // L each, so the tuple sums to at most R
     a = data.draw(st.lists(st.integers(0, params.R // params.L),
                            min_size=params.L, max_size=params.L))
-    state = PruneGreedyState(counted(f), M, params, a)
+    history = []
+    state = PruneGreedyState(counted(f), M, params, a, history)
     for e in data.draw(st.permutations(ground)):
-        state.insert(e)
+        history.append(e)
+        state.feed()
         state.check_budget_semantics()
         assert M.is_independent(state.solution())
 
 
 def _replay_view(st):
     return (st.solution(), repr(st.h_of_S), st.terminated, st.ell, st.c,
-            st.history, st.charged)
+            st.fed, st.charged)
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,41 +302,59 @@ def test_resumed_lpass_and_replay_equal_a_fresh_call(n, items, seed, k_eps,
     params = BranchParams.standard(k, eps, opt_scale * opt)
     order = data.draw(st.permutations(ground))
     oracle = counted(f)
+    history = []  # grows in place, so ref and replay resume over it
     ref = replay = None  # the last results that returned
-    for t in range(len(order) + 1):
-        prefix = order[:t]
+    for e in [None] + order:
+        if e is not None:
+            history.append(e)
+        prefix = list(history)  # a fresh call's own list
         try:
             fresh = reference_lpass(prefix, oracle, M, params)
         except InvariantError as exc:
             with pytest.raises(InvariantError) as got:
-                reference_lpass(prefix, oracle, M, params, prev=ref)
+                reference_lpass(history, oracle, M, params, prev=ref)
             assert str(got.value) == str(exc)
             continue
-        ref = reference_lpass(prefix, oracle, M, params, prev=ref)
-        assert ref == fresh and repr(ref.value) == repr(fresh.value)
-        replay = run_prune_greedy(prefix, oracle, M, params, ref.a_star,
+        prev, before = ref, oracle.count
+        ref = reference_lpass(history, oracle, M, params, prev=prev)
+        if prev is not None and ref.a_star == prev.a_star:
+            # every pass resumed, so it walked only the new elements
+            new = len(history) - prev.walked
+            assert oracle.count - before <= params.L * new
+        assert ref.history is history and ref.walked == len(history)
+        assert ((ref.a_star, ref.T, repr(ref.value), ref.passes)
+                == (fresh.a_star, fresh.T, repr(fresh.value), fresh.passes))
+        replay = run_prune_greedy(history, oracle, M, params, ref.a_star,
                                   prev=replay)
+        assert replay.history is history
         assert _replay_view(replay) == _replay_view(
             run_prune_greedy(prefix, oracle, M, params, fresh.a_star))
         replay.check_budget_semantics()
 
 
-def test_resume_from_a_non_prefix_raises():
+def test_resume_over_another_list_gives_the_fresh_result():
     f, M, order = random_partition_instance(3)
     oracle = counted(f)
     _, opt = brute_force_opt(counted(f), matroid=M)
     params = BranchParams.standard(4, 0.33, opt)
-    ref = reference_lpass(order[:5], oracle, M, params)
-    st = run_prune_greedy(order[:5], oracle, M, params, ref.a_star)
-    for prefix in (order[:4], order[1:6], order[:4] + order[6:7]):
-        with pytest.raises(ValueError, match="does not begin this prefix"):
-            reference_lpass(prefix, oracle, M, params, prev=ref)
-    # a state took the elements up to the one that terminated it
-    fed = len(st.history)
-    assert fed >= 1
-    for prefix in (order[1:6], order[:fed - 1], order[:fed - 1] + order[6:7]):
-        with pytest.raises(ValueError, match="does not begin this prefix"):
-            run_prune_greedy(prefix, oracle, M, params, ref.a_star, prev=st)
+    history = order[:5]
+    ref = reference_lpass(history, oracle, M, params)
+    st = run_prune_greedy(history, oracle, M, params, ref.a_star)
+    assert st.fed >= 1  # it took the elements up to the one ending it
+    # lists that are not `history`: shorter, shifted, equal, or diverging
+    for other in (order[:4], order[1:6], order[:5],
+                  order[:4] + order[6:7]):
+        got = reference_lpass(other, oracle, M, params, prev=ref)
+        fresh = reference_lpass(other, oracle, M, params)
+        assert got.history is other and got.walked == len(other)
+        assert (got.a_star, got.T, repr(got.value), got.passes) == (
+            fresh.a_star, fresh.T, repr(fresh.value), fresh.passes)
+        replay = run_prune_greedy(other, oracle, M, params, got.a_star,
+                                  prev=st)
+        assert replay is not st and replay.history is other
+        assert _replay_view(replay) == _replay_view(
+            run_prune_greedy(other, oracle, M, params, fresh.a_star))
+    assert ref.history is history and ref.walked == 5  # prev is not changed
 
 
 class _FailsOnce:
