@@ -83,6 +83,8 @@ def _load_run(args):
 def _cmd_run(args, loaded) -> int:
     cfg, inner, stream, matroid = loaded
     records, meta = run_stream(cfg, inner, stream, matroid=matroid)
+    # no flag sets RunConfig.seed; a random: oracle spec names its seed
+    del meta["seed"]
     meta["oracle"] = args.oracle
     meta["stream"] = args.stream or "<all-inserts>"
     if args.out:

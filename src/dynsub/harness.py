@@ -158,7 +158,7 @@ def offline_greedy(oracle: CountedOracle, ground, k: int | None = None,
     return frozenset(S), val
 
 
-_REFUSED = object()  # brute_force_opt refused; a larger ground would too
+_REFUSED = object()  # brute_force_opt refused; no later checkpoint walks
 
 
 def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid,
@@ -166,8 +166,11 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid,
     """(OPT estimate, whether it is only an upper bound, `prev` for the
     next checkpoint).  `prev` is the brute-force result of the previous
     checkpoint (None at the first), which the walk resumes from, or
-    _REFUSED once a walk was over budget: a larger ground has at least
-    as many feasible sets."""
+    _REFUSED once a walk was over budget.  From then on every checkpoint
+    takes the greedy bound, which is certified and reported as a bound,
+    though under a matroid a walk over a larger ground need not refuse:
+    the branch and bound's count depends on the values, not only on the
+    number of independent sets."""
     if not ground:
         return 0.0, False, prev
     if cfg.opt_mode == "known":

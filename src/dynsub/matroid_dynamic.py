@@ -355,8 +355,10 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
     S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact);
     for a coverage f, g recomputes only the terms of F(x) that S changes
     (see multilinear_shifts).
-    The offline optimum is brute-forced to pick each stage guess, and
-    each stage runs guided MatroidHalf over the elements, rather than
+    The exact offline optimum picks each stage guess.  It comes from
+    brute_force_opt, whose branch and bound under M evaluates a small
+    part of the independent sets and needs f monotone submodular.  Each
+    stage runs guided MatroidHalf over the elements, rather than
     enumerating the guess grid and the branch tuples.
     """
     elements = list(elements)

@@ -9,7 +9,9 @@ the oracle only tracks raw evaluations.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 
 
 class DomainError(ValueError):
@@ -62,15 +64,14 @@ def best_of(oracle: CountedOracle, sets) -> frozenset:
 
 
 def _n_choose_upto(n: int, k: int) -> int:
-    import math
     return sum(math.comb(n, j) for j in range(min(k, n) + 1))
 
 
 class Optimum(tuple):
     """The pair (best set, value) of a brute-force walk, which unpacks
     like a tuple, plus what a later walk over a larger ground resumes
-    from: `ground`, the elements walked so far, and `count`, the feasible
-    subsets of `ground`."""
+    from: `ground`, the elements walked so far, and `count`, the sets
+    the walk counts against its budget (see brute_force_opt)."""
 
     def __new__(cls, best: frozenset, value: float, ground: frozenset,
                 count: int):
@@ -91,22 +92,23 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
 
     `prev` is the result of an earlier call with the same oracle and
     constraint over a subset of `ground`.  Every set feasible then is
-    feasible now with the same value, so only the feasible sets that
-    hold an element outside `prev.ground` are evaluated, and the better
-    of them and `prev` is returned.  Without `prev` every feasible set,
-    the empty one included, is evaluated.
+    feasible now with the same value, so only feasible sets that hold an
+    element outside `prev.ground` are walked, and the better of them and
+    `prev` is returned.  Without `prev` the empty set is evaluated too.
 
-    The budget counts the feasible subsets of the whole of `ground`,
-    whether walked now or by the calls `prev` resumes: C(|ground|, <= k)
-    under a cardinality constraint, checked before the walk, and
-    `prev.count` plus the sets walked now under a matroid, checked as
-    the walk goes.  Over `budget` the call refuses (never approximates)
-    with EnumerationBudgetError.
+    Under a cardinality constraint every feasible set is evaluated.
+    Under a matroid the walk is a branch and bound (see _MatroidWalk)
+    that assumes f is monotone and submodular: it evaluates a subset of
+    the independent sets and skips only those that can neither beat nor
+    tie the optimum.  It checks both premises on every edge it expands
+    and raises InvariantError where one fails by more than a float slack.
 
-    Under a matroid a walk with new elements makes one independence
-    query per element of `ground` for its rank (see _sets_through), one
-    per new element for its singleton, and one per candidate it adds to
-    an independent set smaller than the rank.
+    The budget counts sets over the whole of `ground`, whether walked
+    now or by the calls `prev` resumes: the C(|ground|, <= k) feasible
+    sets under a cardinality constraint, checked before the walk, and
+    the sets evaluated, the empty one included, under a matroid, checked
+    as the walk goes.  Over `budget` the call refuses (never
+    approximates) with EnumerationBudgetError.
     """
     if (k is None) == (matroid is None):
         raise ValueError("specify exactly one of k / matroid")
@@ -129,13 +131,12 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
         best_set, best_val = frozenset(), oracle.eval(frozenset())
     else:
         best_set, best_val = prev
+    if k is None:
+        walk = _MatroidWalk(oracle, matroid, best_set, best_val, count, budget)
+        walk.run(old, new, from_empty=prev is None)
+        return Optimum(walk.best_set, walk.best_val, ground, walk.count)
     best_ids = sorted(best_set)  # the tie-break key, sorted once per incumbent
-    for S in _sets_through(new, old, k, matroid):
-        if k is None:
-            count += 1
-            if count > budget:
-                raise EnumerationBudgetError(
-                    f"independent-set walk exceeds budget {budget}")
+    for S in _sets_through(new, old, k):
         v = oracle.eval(S)
         if v >= best_val:
             ids = sorted(S)
@@ -144,37 +145,107 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
     return Optimum(best_set, best_val, ground, count)
 
 
-def _sets_through(new: list, old: list, k: int | None, matroid):
-    """Each feasible subset of old + new that holds an element of `new`,
-    once: those whose first element of `new` is new[i] are new[i] plus
-    a subset of old + new[i+1:].  Under a matroid that subset grows by a
-    DFS in pool order that prunes dependent prefixes, which downward
-    closure makes exact.  The DFS does not grow a set of size r, the
-    rank of old + new: no independent set is larger.  r is the size of
-    a greedy basis, which costs one independence query per element of
-    old + new."""
-    if k is None and new:
-        basis: set = set()
-        for e in old + new:
-            if matroid.is_independent(basis | {e}):
-                basis.add(e)
-        rank = len(basis)
+def _sets_through(new: list, old: list, k: int):
+    """Each subset of old + new of size <= k that holds an element of
+    `new`, once: those whose first element of `new` is new[i] are new[i]
+    plus a subset of old + new[i+1:]."""
     for i, e in enumerate(new):
         pool = old + new[i + 1:]
         root = frozenset((e,))
-        if k is not None:
-            for j in range(min(k - 1, len(pool)) + 1):
-                yield from map(root.union, itertools.combinations(pool, j))
-            continue
-        if not matroid.is_independent(root):
-            continue
-        stack = [(root, 0)]
+        for j in range(min(k - 1, len(pool)) + 1):
+            yield from map(root.union, itertools.combinations(pool, j))
+
+
+class _MatroidWalk:
+    """Branch and bound over the independent sets that hold an element
+    of `new`, for monotone submodular f.
+
+    A node is an independent set S with a pool and a start: its children
+    are S + pool[j] for j >= start, the subtree under S + pool[j] adds
+    only pool elements after j, and no set outgrows the rank r of old +
+    new (a greedy basis, one independence query per element).  Expanding
+    S evaluates each independent child, which gives the marginals
+    f(x|S).  Since f(S + T) <= f(S) + sum of f(x|S) over x in T
+    (Nemhauser, Wolsey and Fisher 1978), the subtree under child c is
+    bounded by f(c) plus the r - |c| largest marginals, floored at 0, of
+    the later independent children.  A child is expanded, in decreasing
+    f(c), only while that bound is within `slack` of the incumbent, so
+    no set that ties the optimum is skipped and the tie rule holds.
+    The walk evaluates and tests no set that the plain walk over every
+    independent set does not.
+    """
+
+    def __init__(self, oracle, matroid, best_set, best_val, count, budget):
+        self.oracle, self.matroid = oracle, matroid
+        self.best_set, self.best_val = best_set, best_val
+        self._best_ids = sorted(best_set)
+        self.count, self.budget = count, budget
+
+    def slack(self) -> float:
+        return 1e-9 * max(1.0, abs(self.best_val))
+
+    def eval(self, S) -> float:
+        self.count += 1
+        if self.count > self.budget:
+            raise EnumerationBudgetError(
+                f"independent-set walk exceeds budget {self.budget}")
+        v = self.oracle.eval(S)
+        if v >= self.best_val:
+            ids = sorted(S)
+            if v > self.best_val or ids < self._best_ids:
+                self.best_set, self.best_val, self._best_ids = S, v, ids
+        return v
+
+    def run(self, old: list, new: list, from_empty: bool) -> None:
+        """From the empty set (already evaluated) over `new`, or from each
+        independent {new[i]} over old + new[i+1:]."""
+        if not new:
+            return
+        basis: set = set()
+        for e in old + new:
+            if self.matroid.is_independent(basis | {e}):
+                basis.add(e)
+        self.rank = len(basis)
+        if from_empty:
+            self.descend(frozenset(), 0.0, new, 0, None)  # f(empty) is 0
+            return
+        for i, e in enumerate(new):
+            root = frozenset((e,))
+            if self.matroid.is_independent(root):
+                self.descend(root, self.eval(root), old + new[i + 1:], 0, None)
+
+    def descend(self, S, f_S, pool, start, up) -> None:
+        """Walks the subtree under S; `up` maps each pool index j to
+        f(pool[j] | parent of S), or is None at a root."""
+        stack = [(math.inf, S, f_S, start, up)]
         while stack:
-            S, start = stack.pop()
-            yield S
-            if len(S) == rank:
+            bound, S, f_S, start, up = stack.pop()
+            if len(S) >= self.rank or bound < self.best_val - self.slack():
                 continue
-            for j in range(len(pool) - 1, start - 1, -1):
-                cand = S | {pool[j]}
-                if matroid.is_independent(cand):
-                    stack.append((cand, j + 1))
+            kids = []  # (f(c), j, c) for each independent child c
+            for j in range(start, len(pool)):
+                c = S | {pool[j]}
+                if self.matroid.is_independent(c):
+                    kids.append((self.eval(c), j, c))
+            gains = {}
+            for f_c, j, _ in kids:
+                gain = gains[j] = f_c - f_S
+                if gain < -self.slack():
+                    raise InvariantError(
+                        f"f is not monotone: f({sorted(S)} + {pool[j]}) is "
+                        f"{-gain!r} below f({sorted(S)})")
+                if up is not None and gain > up[j] + self.slack():
+                    raise InvariantError(
+                        f"f is not submodular: the gain of {pool[j]} is "
+                        f"{gain!r} on {sorted(S)}, {up[j]!r} on a subset")
+            if len(S) + 1 >= self.rank:
+                continue  # the children are bases
+            # the r - |c| largest later gains, ascending, for each child
+            room, top, bounded = self.rank - len(S) - 1, [], []
+            for f_c, j, c in reversed(kids):
+                bounded.append((f_c + sum(top), f_c, -j, c))
+                bisect.insort(top, max(0.0, gains[j]))
+                del top[:-room]
+            bounded.sort(key=lambda b: (b[1], b[2]))  # largest f(c) on top
+            stack.extend((b, c, f_c, -neg_j + 1, gains)
+                         for b, f_c, neg_j, c in bounded)

@@ -99,3 +99,21 @@ def test_amplifier_output_is_pinned(seed, m):
     assert res.stage_guesses == pin["stage_guesses"]
     assert res.rounded == pin["rounded"]
     assert repr(res.value) == pin["value"]
+
+
+def test_amplifier_runs_at_the_n300_shape():
+    # 300 elements in 3 blocks of cap 1: 1,030,301 independent sets, over
+    # the 10^6 budget of a walk that evaluates each of them.  The optimum
+    # is the one tests/test_oracle.py pins for this instance.
+    f = random_coverage(300, 2000, 1000, weighted=True)
+    M = PartitionMatroid({e: e * 3 // 300 for e in range(300)},
+                         {0: 1, 1: 1, 2: 1})
+    opt = 19.473698120976586
+    res = amplified_run(sorted(f.ground), M, f,
+                        AmplifierConfig(m=4, epsilon=0.25), k=3, seed=1000)
+    assert M.is_independent(res.rounded) and f(res.rounded) <= opt
+    assert res.value >= (1 - 1 / math.e - 2 * 0.25) * opt
+    # each stage guess sits on the geometric grid below that optimum
+    for d in res.stage_guesses:
+        j = math.log(opt / d) / math.log1p(0.25)
+        assert abs(j - round(j)) < 1e-6

@@ -160,6 +160,18 @@ def test_run_config_file_with_cli_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_report_header_names_the_seed_only_in_the_oracle(tmp_path,
+                                                            capsys):
+    out = tmp_path / "r.csv"
+    assert main(["run", "--algo", "card-ladder", "--oracle", "random:6:5:3",
+                 "--k", "2", "--epsilon", "0.5", "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines()
+              if line.startswith("#")]
+    assert "# oracle = random:6:5:3" in header
+    assert not [line for line in header if "seed" in line]
+    capsys.readouterr()
+
+
 def test_run_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("algo = card-ladder\nk = 2\nepsilon = 0.5\n"

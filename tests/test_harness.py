@@ -302,7 +302,7 @@ def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
 def test_every_round_probe_walks_each_feasible_set_once(monkeypatch, matroid):
     f = random_coverage(10, 12, seed=7, weighted=True)
     M = _two_block_matroid(f.ground) if matroid else None
-    walked, depth = [], []
+    walked, depth, results = [], [], []
 
     def inner(S):
         if depth:
@@ -312,7 +312,8 @@ def test_every_round_probe_walks_each_feasible_set_once(monkeypatch, matroid):
     def tracked(*args, **kwargs):
         depth.append(1)
         try:
-            return real(*args, **kwargs)
+            results.append(real(*args, **kwargs))
+            return results[-1]
         finally:
             depth.pop()
 
@@ -327,4 +328,10 @@ def test_every_round_probe_walks_each_feasible_set_once(monkeypatch, matroid):
                 for c in itertools.combinations(order, j)
                 if M is None or M.is_independent(c)]
     # f(S_t) is probed outside brute force, so only the walks count here
-    assert Counter(walked) == Counter(feasible)
+    if M is None:
+        assert Counter(walked) == Counter(feasible)
+    else:
+        # the branch and bound walks a part of them, each once, and its
+        # count is the sets it walked
+        assert len(walked) == len(set(walked)) == results[-1].count
+        assert set(walked) <= set(feasible)

@@ -1,12 +1,39 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynsub import hard_tree
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
-                           _sets_through, brute_force_opt)
+                           InvariantError, brute_force_opt)
 from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from oracles import ModularFunction, check_submodular_monotone, counted
+
+
+def recording(f, ground):
+    """A counted oracle over `ground`, and the list of the sets it is
+    asked to evaluate, in order."""
+    asked = []
+
+    def inner(S):
+        asked.append(S)
+        return f(S)
+
+    oracle = CountedOracle(inner, ground)
+    asked.clear()  # the uncounted probe of the empty set
+    return oracle, asked
+
+
+def independent_sets(M, ground) -> set:
+    """Every independent subset of `ground`, the empty one included: the
+    sets a walk that evaluates every independent set evaluates."""
+    ground = sorted(ground)
+    return {frozenset(tup) for r in range(len(ground) + 1)
+            for tup in itertools.combinations(ground, r)
+            if M.is_independent(tup)}
 
 
 def small_coverage():
@@ -105,23 +132,35 @@ def test_brute_force_resume_matches_a_full_walk(matroid):
     f = random_coverage(9, 12, seed=6, weighted=True)
     constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
     full = brute_force_opt(counted(f), **constraint)
-    o = counted(f)
+    o, asked = recording(f, f.ground)
     prev = None
     for t in (2, 3, 7, 9):
         prev = brute_force_opt(o, ground=range(t), prev=prev, **constraint)
     assert tuple(prev) == tuple(full)
-    assert (prev.ground, prev.count) == (full.ground, full.count)
-    # every feasible set, the empty one included, was evaluated once
-    assert o.count == full.count
+    assert prev.ground == full.ground
+    # no set was evaluated twice, and count is the evaluations made
+    assert len(asked) == len(set(asked)) == o.count == prev.count
+    if matroid:
+        # the branch and bound evaluates a part of the independent sets
+        assert set(asked) <= independent_sets(_partition_9(), range(9))
+    else:
+        # every feasible set, the empty one included, was evaluated once
+        assert o.count == full.count
+        assert set(asked) == {frozenset(c) for r in range(4)
+                              for c in itertools.combinations(range(9), r)}
 
 
 @pytest.mark.parametrize("matroid", [False, True])
 def test_brute_force_resume_budget_counts_the_whole_ground(matroid):
     f = random_coverage(9, 12, seed=7)
     constraint = dict(matroid=_partition_9()) if matroid else dict(k=3)
-    n_sets = brute_force_opt(counted(f), **constraint).count
     o = counted(f)
-    prev = brute_force_opt(o, ground=range(5), budget=n_sets, **constraint)
+    prev = brute_force_opt(o, ground=range(5), **constraint)
+    n_sets = brute_force_opt(counted(f), prev=prev, **constraint).count
+    if not matroid:  # C(9, <= 3), however the ground was walked
+        assert n_sets == brute_force_opt(counted(f), **constraint).count
+    # a budget of the sets walked now alone would let this call through
+    assert n_sets - prev.count < n_sets - 1
     with pytest.raises(EnumerationBudgetError):
         brute_force_opt(o, budget=n_sets - 1, prev=prev, **constraint)
     assert brute_force_opt(o, budget=n_sets, prev=prev, **constraint).count \
@@ -165,36 +204,130 @@ WALK_SPLITS = [([], list(range(9))), ([0, 2, 5], [1, 3, 4, 6, 7, 8]),
 @pytest.mark.parametrize("old, new", WALK_SPLITS)
 def test_matroid_walk_yields_each_independent_set_through_new_once(
         name, old, new):
+    # a constant objective bounds no subtree below the incumbent, so the
+    # branch and bound walks every independent set
     M = WALK_MATROIDS[name]()
-    walked = [tuple(sorted(S)) for S in _sets_through(new, old, None, M)]
+    o, asked = recording(lambda S: 0.0, range(9))
+    prev = brute_force_opt(o, ground=old, matroid=M)
+    assert sorted(map(sorted, asked)) == sorted(
+        map(sorted, independent_sets(M, old)))
+    asked.clear()
+    out = brute_force_opt(o, ground=old + new, matroid=M, prev=prev)
+    walked = [tuple(sorted(S)) for S in asked]
     expected = {tup for r in range(1, 10)
                 for tup in itertools.combinations(sorted(old + new), r)
                 if set(tup) & set(new) and M.is_independent(tup)}
     assert len(walked) == len(set(walked))
     assert set(walked) == expected
+    assert out.count == prev.count + len(walked)
+    assert tuple(out) == (frozenset(), 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(WALK_MATROIDS))
 def test_matroid_resume_matches_a_walk_from_scratch(name):
     f = random_coverage(9, 10, seed=11, weighted=True)
     full = brute_force_opt(counted(f), matroid=WALK_MATROIDS[name]())
+    n_independent = len(independent_sets(WALK_MATROIDS[name](), range(9)))
     for cuts in ((9,), (4, 9), (1, 5, 8, 9), (0, 9)):
         prev = None
         M = WALK_MATROIDS[name]()
+        o, asked = recording(f, f.ground)
         for t in cuts:
-            prev = brute_force_opt(counted(f), ground=range(t), matroid=M,
-                                   prev=prev)
-        assert (prev[0], repr(prev[1]), prev.count) == \
-            (full[0], repr(full[1]), full.count)
+            prev = brute_force_opt(o, ground=range(t), matroid=M, prev=prev)
+        assert (prev[0], repr(prev[1])) == (full[0], repr(full[1]))
+        # each set once, counted, and no more than every independent set
+        assert len(set(asked)) == len(asked) == o.count == prev.count
+        assert prev.count <= n_independent
 
 
 def test_matroid_walk_stops_at_the_rank():
     # 40 elements in 3 blocks of cap 1: 2,940 independent sets.  A walk
-    # that tries to grow the sets of size 3 too makes 20,580 queries.
+    # that evaluates each of them makes 6,424 independence queries, and
+    # 20,580 if it tries to grow the sets of size 3 too.  The branch and
+    # bound evaluates 106 of them.
     f = random_coverage(40, 300, seed=1000, weighted=True)
     M = PartitionMatroid({e: e * 3 // 40 for e in range(40)},
                          {0: 1, 1: 1, 2: 1})
     o = counted(f)
     opt = brute_force_opt(o, matroid=M)
-    assert (opt.count, o.count) == (2940, 2940)
-    assert M.query_count == 6424
+    assert (sorted(opt[0]), repr(opt[1])) == ([3, 15, 29], "16.43383455927607")
+    assert (opt.count, o.count) == (106, 106)
+    assert M.query_count == 351
+
+
+def _best_by_enumeration(f, M, ground):
+    """The exact maximum over the independent subsets of `ground`, and
+    the smallest sorted id tuple of that value, by a filtered
+    itertools.combinations walk."""
+    o = counted(f)
+    return min(((-o.eval(S), sorted(S)) for S in independent_sets(M, ground)))
+
+
+_TREE_SHAPES = [(4, (2, 1)), (2, (3, 1)), (4, (3, 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(objective=st.sampled_from(["coverage", "modular", "tree"]),
+       matroid=st.sampled_from(["uniform", "partition", "all-0"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_pruned_walk_matches_a_filtered_enumeration(objective, matroid, seed,
+                                                    data):
+    rng = random.Random(seed)
+    if objective == "tree":
+        k, arities = _TREE_SHAPES[seed % len(_TREE_SHAPES)]
+        inst = hard_tree.ShuffledTreeInstance(
+            k=k, eps=0.5, arities=arities,
+            pi=hard_tree.random_tree_pi(arities, seed))
+        f = lambda S, inst=inst: hard_tree.tree_F_eval(inst, S)  # noqa: E731
+        f.ground = inst.ground
+    elif objective == "coverage":
+        f = random_coverage(rng.randint(1, 10), rng.randint(1, 12), seed,
+                            weighted=True)
+    else:  # few distinct dyadic weights: many exact ties
+        f = ModularFunction({e: rng.choice([0.0, 0.5, 1.0, 1.5])
+                             for e in range(rng.randint(1, 10))})
+    ground = sorted(f.ground)
+    if matroid == "uniform":
+        M = UniformMatroid(rng.randint(0, len(ground)), ground)
+    else:
+        caps = {b: 0 if matroid == "all-0" else rng.randint(0, 2)
+                for b in range(3)}
+        M = PartitionMatroid({e: rng.randrange(3) for e in ground}, caps)
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(ground)), max_size=3))
+                  | {len(ground)})
+    o, asked = recording(f, ground)
+    prev = None
+    for t in cuts:
+        prev = brute_force_opt(o, ground=ground[:t], matroid=M, prev=prev)
+    neg, ids = _best_by_enumeration(f, M, ground)
+    assert (sorted(prev[0]), repr(prev[1])) == (ids, repr(-neg))
+    assert len(set(asked)) == len(asked) == prev.count
+
+
+def test_walk_refuses_a_supermodular_objective():
+    # the gain of a second element, 3, is above the gain of the first, 1
+    o = CountedOracle(lambda S: float(len(S)) ** 2, range(5))
+    with pytest.raises(InvariantError, match="not submodular"):
+        brute_force_opt(o, matroid=UniformMatroid(3, range(5)))
+
+
+def test_walk_refuses_an_objective_that_falls():
+    # f = 3, 4, 3 on sets of size 1, 2, 3: submodular, not monotone
+    o = CountedOracle(lambda S: float(len(S) * (4 - len(S))), range(5))
+    with pytest.raises(InvariantError, match="not monotone"):
+        brute_force_opt(o, matroid=UniformMatroid(3, range(5)))
+
+
+def test_walk_reaches_the_n300_amplify_shape():
+    # 300 elements in 3 blocks of cap 1: 101**3 = 1,030,301 independent
+    # sets, which a walk that evaluates each of them refuses at the 10^6
+    # budget.  The optimum below is that walk's, run once with a budget
+    # of 2*10^6.
+    f = random_coverage(300, 2000, 1000, weighted=True)
+    M = PartitionMatroid({e: e * 3 // 300 for e in range(300)},
+                         {0: 1, 1: 1, 2: 1})
+    o = counted(f)
+    opt = brute_force_opt(o, matroid=M)
+    assert (sorted(opt[0]), repr(opt[1])) == ([69, 123, 250],
+                                              "19.473698120976586")
+    assert opt.count == o.count < 5000
