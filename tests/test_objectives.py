@@ -81,15 +81,16 @@ def _reference_value(f, S):
 
 
 def _reference_multilinear(f, x):
-    """Closed-form F(x) scanning sorted(f.covers) for every item."""
-    total = 0.0
+    """Closed-form F(x) scanning sorted(f.covers) for every item, the
+    terms summed with one rounding."""
+    terms = []
     for item, w in f.universe:
         miss = 1.0
         for e in sorted(f.covers):
             if item in f.covers[e]:
                 miss *= 1.0 - x.get(e, 0.0)
-        total += w * (1.0 - miss)
-    return total
+        terms.append(w * (1.0 - miss))
+    return math.fsum(terms)
 
 
 @st.composite
@@ -155,6 +156,33 @@ def test_multilinear_shifts_bit_identical_to_the_full_formula(case):
         assert _same(shifted(S), multilinear_exact(f, plus_direction(x, S, step)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_shift_cases(), st.data())
+def test_multilinear_shifts_are_monotone_without_slack(case, data):
+    """Every term and the one rounding of their sum are monotone, so a
+    superset never shifts lower and a stage gain is never negative."""
+    f, x, sets, step = case
+    shifted = multilinear_shifts(f, x, step)
+    base = shifted(set())
+    assert _same(base, multilinear_exact(f, x))
+    for S in sets:
+        T = S | data.draw(st.frozensets(st.sampled_from(sorted(f.ground))))
+        assert base <= shifted(S) <= shifted(T)
+
+
+def test_multilinear_shifts_near_the_float_maximum():
+    f = CoverageFunction([("a", 8.9e307), ("b", 8.9e307)],
+                         {0: {"a"}, 1: {"a", "b"}, 2: {"b"}})
+    for x in ({}, {0: 0.5}, {0: 0.3, 1: 0.9, 2: 1.0}):
+        for step in (1.0, 0.5, 1.0 / 3):
+            shifted = multilinear_shifts(f, x, step)
+            for S in (set(), {0}, {1}, {0, 2}, {0, 1, 2}):
+                value = shifted(S)
+                assert math.isfinite(value)
+                assert _same(value,
+                             multilinear_exact(f, plus_direction(x, S, step)))
+
+
 def test_multilinear_shifts_copies_x_and_checks_its_inputs():
     f = random_coverage(4, 6, seed=0, weighted=True)
     x = {0: 0.5}
@@ -171,10 +199,14 @@ def test_multilinear_shifts_copies_x_and_checks_its_inputs():
 def test_multilinear_shifts_of_a_plain_set_function():
     f = random_coverage(5, 6, seed=1, weighted=True)
     x = {0: 0.3, 2: 1.0, 4: 0.7}
-    shifted = multilinear_shifts(f, x, 0.25)
+    plain = lambda T: f(T)  # not a CoverageFunction: the subset formula
+    shifted = multilinear_shifts(plain, x, 0.25)
     for S in ({0}, {1, 2}, {0, 3, 4}):
         y = plus_direction(x, S, 0.25)
-        assert _same(shifted(S), multilinear_exact(lambda T: f(T), y))
+        assert _same(shifted(S), multilinear_exact(plain, y))
+        # the closed form rounds differently, but only in the last digits
+        assert math.isclose(multilinear_exact(f, y), shifted(S),
+                            rel_tol=1e-12)
 
 
 def test_multilinear_factor_order_is_ascending_id():
