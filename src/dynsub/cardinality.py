@@ -22,7 +22,8 @@ class CardinalityState:
     Once |S| = k, S is final: a later insert is counted but makes no
     query and files nothing.  Query accounting uses the two-per-marginal
     charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
-    inserted element.
+    inserted element.  Each element is inserted at most once: a Stream
+    refuses a repeat, and the engine keeps no set to check it again.
     """
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
@@ -45,7 +46,6 @@ class CardinalityState:
         self.f_of_S = 0.0
         self.charged = 0
         self.inserts = 0
-        self._seen: set = set()
 
     def _marginal(self, e) -> float:
         # one raw eval against the cached f(S); charged as two
@@ -72,9 +72,6 @@ class CardinalityState:
         return (self.opt_guess - self.f_of_S) / self.k - self.delta
 
     def insert(self, e) -> None:
-        if e in self._seen:
-            raise ValueError(f"duplicate insert of {e}")
-        self._seen.add(e)
         self.inserts += 1
         if len(self._in_S) >= self.k:  # a full S is final
             return

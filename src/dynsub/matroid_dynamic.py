@@ -375,10 +375,8 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
     x: dict = {}
     stage_sets, stage_guesses = [], []
     for _tau in range(m):
-        base_F = multilinear_exact(f, x)
-        shifted = multilinear_shifts(f, x, 1.0 / m)
-        g = CountedOracle(lambda S, _F=shifted, _base=base_F: _F(S) - _base,
-                          ground)
+        # the oracle subtracts the value at the empty set, which is F(x)
+        g = CountedOracle(multilinear_shifts(f, x, 1.0 / m), ground)
         v = g.eval(opt_set)
         d_tau = 0.0
         for j in range(depth + 1):

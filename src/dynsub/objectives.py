@@ -20,7 +20,8 @@ class CoverageFunction:
     """Weighted coverage: f(S) = total weight of union of covers(e), e in S.
 
     Each element's items are stored once more as universe positions, so
-    an evaluation costs what S covers, not |U|.  The function is fixed
+    an evaluation costs what S covers, not |U|.  f(S) is the math.fsum
+    of the covered weights, which no order moves.  The function is fixed
     after construction: `covers` and `universe` must not be mutated.
     """
 
@@ -32,7 +33,10 @@ class CoverageFunction:
             raise ValueError("duplicate universe items")
         weights = self.weights.values()
         # a finite total keeps every f(S), a part of it, finite too
-        total = sum(weights)
+        try:
+            total = math.fsum(weights)
+        except (OverflowError, ValueError):  # too large, or inf - inf
+            total = math.inf
         if not (math.isfinite(total) and min(weights, default=0.0) >= 0.0):
             raise ValueError(f"item weights must be finite and >= 0, with a "
                              f"finite total, got total {total}")
@@ -51,8 +55,7 @@ class CoverageFunction:
 
     def __call__(self, S):
         hit = set().union(*map(self._positions.__getitem__, S))
-        # summed in universe order so equal sets give bit-identical values
-        return sum(map(self._weight_at.__getitem__, sorted(hit)))
+        return math.fsum(map(self._weight_at.__getitem__, hit))
 
     def coverers(self) -> list:
         """Per universe position, the elements covering that item in

@@ -43,8 +43,6 @@ def dump_coverage(f, path) -> None:
     """Write a CoverageFunction in the format CoverageFunction.load reads."""
     with open(path, "w") as fh:
         fh.write(f"coverage {len(f.covers)} {len(f.universe)}\n")
-        # weight lines first, in universe order, so a reload keeps the
-        # exact summation order (values stay bit-identical)
         for item, w in f.universe:
             fh.write(f"w {item} {w!r}\n")
         for e in sorted(f.covers):

@@ -108,7 +108,7 @@ def test_amplifier_runs_at_the_n300_shape():
     f = random_coverage(300, 2000, 1000, weighted=True)
     M = PartitionMatroid({e: e * 3 // 300 for e in range(300)},
                          {0: 1, 1: 1, 2: 1})
-    opt = 19.473698120976586
+    opt = 19.473698120976582
     res = amplified_run(sorted(f.ground), M, f,
                         AmplifierConfig(m=4, epsilon=0.25), k=3, seed=1000)
     assert M.is_independent(res.rounded) and f(res.rounded) <= opt

@@ -323,11 +323,16 @@ def test_run_names_a_bad_coverage_line(tmp_path, capsys, text, bad):
 
 OVERFLOWING = "coverage 2 2\nw a 1e308\nw b 1e308\ne 0 : a\ne 1 : b\n"
 HUGE = "coverage 2 2\nw a 1e300\nw b 1.7e308\ne 0 : a\ne 1 : b\n"
+# added left to right the total rounds back to the float maximum; the
+# exact total is past it
+NEAR_MAX = ("coverage 3 3\nw a 1.7976931348623157e308\nw b 0.9e292\n"
+            "w c 0.9e292\ne 0 : a\ne 1 : b\ne 2 : c\n")
 
 
 @pytest.mark.parametrize("text, algo, needle", [
     (OVERFLOWING, ["--algo", "card", "--opt", "1e300"], "got total inf"),
     (OVERFLOWING, ["--algo", "card-ladder"], "got total inf"),
+    (NEAR_MAX, ["--algo", "card-ladder"], "got total inf"),
     # the total is finite, but the ladder's targets above 1.7e308 are not
     (HUGE, ["--algo", "card-ladder"],
      "singleton value 1.7e+308 puts the guess ladder's targets past"),
@@ -416,6 +421,15 @@ def test_run_refuses_a_malformed_stream_line(tmp_path, capsys, body, bad):
                        "--stream", str(stream)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: bad stream line {bad}\n"
+
+
+def test_run_refuses_a_repeated_insert(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("stream v1\nI 0\nI 1\nI 0\n")
+    assert main(RUN + ["--k", "2", "--epsilon", "0.5",
+                       "--stream", str(stream)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: op 2: duplicate insert of 0\n"
 
 
 @pytest.mark.parametrize("policy", ["every-n:0", "every-n:-3", "every-n:x"])

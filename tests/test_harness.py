@@ -25,6 +25,19 @@ def test_empty_stream():
     assert records == []
 
 
+@pytest.mark.parametrize("ops, needle", [
+    ([(INSERT, 0), (INSERT, 1), (INSERT, 0)], "op 2: duplicate insert of 0"),
+    ([(INSERT, 0), (DELETE, 1)], "op 1: delete of non-live 1"),
+    ([(INSERT, 0), (DELETE, 0), (DELETE, 0)], "op 2: delete of non-live 0"),
+    ([(INSERT, 3), (DELETE, 3), (INSERT, 3)], "op 2: id 3 reused after delete"),
+])
+def test_stream_refuses_an_op_the_engines_rely_on_never_seeing(ops, needle):
+    # the engines keep no set of the ids they have seen: a stream is
+    # the one place a repeated insert is refused
+    with pytest.raises(ValueError, match=needle):
+        Stream([StreamOp(kind, e) for kind, e in ops])
+
+
 def test_modular_ratio_one_every_round():
     f = ModularFunction({0: 1.0, 1: 2.0, 2: 3.0})
     cfg = RunConfig(algo="card-ladder", k=1, epsilon=0.5)

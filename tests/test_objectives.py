@@ -2,6 +2,7 @@ import math
 import os
 import random
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,18 @@ def test_coverage_refuses_a_negative_or_non_finite_weight(weight):
         CoverageFunction([("a", 1.0), ("b", weight)], {0: {"a", "b"}})
 
 
+@pytest.mark.parametrize("weights", [
+    # left to right this total rounds back to the float maximum, but the
+    # exact total is past it
+    [1.7976931348623157e308, 0.9e292, 0.9e292],
+    [math.inf, -math.inf],
+])
+def test_coverage_refuses_a_total_past_the_float_range(weights):
+    universe = [(f"u{j}", w) for j, w in enumerate(weights)]
+    with pytest.raises(ValueError, match="finite total, got total inf"):
+        CoverageFunction(universe, {0: {"u0"}})
+
+
 @pytest.mark.parametrize("n_elements, n_items, needle", [
     (0, 5, "n_elements must be >= 1"),
     (-1, 5, "n_elements must be >= 1"),
@@ -73,11 +86,12 @@ def test_random_coverage_refuses_an_empty_size(n_elements, n_items, needle):
 
 
 def _reference_value(f, S):
-    """f(S) as a scan of the whole universe, in universe order."""
+    """f(S) as a scan of the whole universe: the exact sum of the covered
+    weights, rounded once."""
     hit = set()
     for e in S:
         hit |= f.covers[e]
-    return sum(w for item, w in f.universe if item in hit)
+    return float(sum(Fraction(w) for item, w in f.universe if item in hit))
 
 
 def _reference_multilinear(f, x):
@@ -114,6 +128,18 @@ def _coverage_cases(draw):
 
 def _same(a, b):
     return a == b and repr(a) == repr(b)
+
+
+def test_coverage_value_does_not_depend_on_the_universe_order():
+    rng = random.Random(5)
+    f = random_coverage(30, 40, seed=5, weighted=True)
+    for _ in range(5):
+        universe = rng.sample(f.universe, len(f.universe))
+        g = CoverageFunction(universe, f.covers)
+        for _ in range(20):
+            S = rng.sample(sorted(f.ground), rng.randint(0, 30))
+            assert _same(g(S), f(S))
+            assert _same(f(S), _reference_value(f, S))
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,7 +267,8 @@ def test_multilinear_vertex_agreement():
         f = random_coverage(8, 9, seed=seed, weighted=True)
         S = frozenset(rng.sample(sorted(f.ground), rng.randint(0, 8)))
         x = {e: 1.0 for e in S}
-        assert multilinear_exact(f, x) == pytest.approx(f(S), abs=1e-9)
+        # one float rule: at a vertex both are the fsum of the same weights
+        assert _same(multilinear_exact(f, x), f(S))
 
 
 def test_closed_form_matches_brute_force():

@@ -329,5 +329,5 @@ def test_walk_reaches_the_n300_amplify_shape():
     o = counted(f)
     opt = brute_force_opt(o, matroid=M)
     assert (sorted(opt[0]), repr(opt[1])) == ([69, 123, 250],
-                                              "19.473698120976586")
+                                              "19.473698120976582")
     assert opt.count == o.count < 5000
