@@ -166,23 +166,30 @@ def _opt_estimate(cfg: RunConfig, oracle: CountedOracle, ground, matroid,
     """(OPT estimate, whether it is only an upper bound, `prev` for the
     next checkpoint).  `prev` is the brute-force result of the previous
     checkpoint (None at the first), which the walk resumes from, or
-    _REFUSED once a walk was over budget.  From then on every checkpoint
-    takes the greedy bound, which is certified and reported as a bound,
-    though under a matroid a walk over a larger ground need not refuse:
-    the branch and bound's count depends on the values, not only on the
-    number of independent sets."""
+    _REFUSED once a walk was over budget.
+
+    A resumed walk counts the sets of every call in its chain, which
+    under a matroid can exceed what a fresh walk over the same ground
+    counts, so a refused resume is retried once from scratch.  Only
+    when that refuses too is the checkpoint refused.  From then on every
+    checkpoint takes the greedy bound, which is certified and reported
+    as a bound, though under a matroid a walk over a larger ground need
+    not refuse: the branch and bound's count depends on the values, not
+    only on the number of independent sets."""
     if not ground:
         return 0.0, False, prev
     if cfg.opt_mode == "known":
         return cfg.opt_value, False, prev
     if cfg.opt_mode == "brute-force" and prev is not _REFUSED:
-        try:
-            prev = brute_force_opt(oracle, ground=ground, matroid=matroid,
-                                   k=cfg.k if matroid is None else None,
-                                   budget=cfg.brute_budget, prev=prev)
-            return prev[1], False, prev
-        except EnumerationBudgetError:
-            prev = _REFUSED  # fall through to the greedy bound
+        for start in ((None,) if prev is None else (prev, None)):
+            try:
+                prev = brute_force_opt(oracle, ground=ground, matroid=matroid,
+                                       k=cfg.k if matroid is None else None,
+                                       budget=cfg.brute_budget, prev=start)
+                return prev[1], False, prev
+            except EnumerationBudgetError:
+                pass
+        prev = _REFUSED  # fall through to the greedy bound
     # greedy is within 1-1/e of OPT under a cardinality constraint and
     # within 1/2 under a matroid (Fisher, Nemhauser and Wolsey 1978)
     if matroid is not None:

@@ -204,10 +204,15 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     list again.  A `prev` over another list is ignored.  The result,
     and any InvariantError, is that of a call without `prev`; only the
     number of queries differs.
+
+    h must be a function of the set: passes that build an equal
+    candidate set read its value, or its dependence in M, from what the
+    call asked first, so no set is asked of h or M twice in one call.
     """
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None
+    asked: dict = {}  # candidate set -> h value, None where M refuses it
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
@@ -230,9 +235,12 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
             if e in base:
                 continue
             cand = frozenset(base | {e})
-            if not M.is_independent(cand):
+            if cand not in asked:
+                asked[cand] = (h.eval(cand) if M.is_independent(cand)
+                               else None)
+            if asked[cand] is None:
                 continue
-            m = h.eval(cand) - base_val
+            m = asked[cand] - base_val
             if m >= thresh:
                 S_ell.append((e, m))
                 base.add(e)

@@ -24,25 +24,31 @@ class Stream:
     """A validated sequence of stream operations.
 
     Deletions must target a currently live element; ids are never reused
-    after deletion within one stream.
+    after deletion within one stream.  A refusal names the 0-based op
+    index, or the file line of the op where `lines` gives one per op.
     """
 
-    def __init__(self, ops):
+    def __init__(self, ops, lines=None):
         ops = list(ops)
         live: set[int] = set()
         dead: set[int] = set()
         for i, op in enumerate(ops):
             if op.kind == INSERT:
                 if op.element in live:
-                    raise ValueError(f"op {i}: duplicate insert of {op.element}")
-                if op.element in dead:
-                    raise ValueError(f"op {i}: id {op.element} reused after delete")
-                live.add(op.element)
-            else:
-                if op.element not in live:
-                    raise ValueError(f"op {i}: delete of non-live {op.element}")
+                    refusal = f"duplicate insert of {op.element}"
+                elif op.element in dead:
+                    refusal = f"id {op.element} reused after delete"
+                else:
+                    live.add(op.element)
+                    continue
+            elif op.element in live:
                 live.remove(op.element)
                 dead.add(op.element)
+                continue
+            else:
+                refusal = f"delete of non-live {op.element}"
+            where = f"op {i}" if lines is None else f"stream line {lines[i]}"
+            raise ValueError(f"{where}: {refusal}")
         self.ops = ops
 
     def __len__(self):
@@ -76,7 +82,7 @@ class Stream:
             header = fh.readline().strip()
             if header != "stream v1":
                 raise ValueError(f"bad stream header {header!r}")
-            ops = []
+            ops, lines = [], []
             for lineno, line in enumerate(fh, start=2):
                 tok = line.split()
                 if not tok:
@@ -87,4 +93,5 @@ class Stream:
                 except ValueError:
                     raise ValueError(f"bad stream line {lineno}: "
                                      f"{line.strip()!r}") from None
-        return cls(ops)
+                lines.append(lineno)
+        return cls(ops, lines)

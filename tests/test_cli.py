@@ -423,13 +423,17 @@ def test_run_refuses_a_malformed_stream_line(tmp_path, capsys, body, bad):
     assert out == "" and err == f"error: bad stream line {bad}\n"
 
 
-def test_run_refuses_a_repeated_insert(tmp_path, capsys):
+@pytest.mark.parametrize("body, bad", [
+    ("I 0\nI 1\nI 0\n", "4: duplicate insert of 0"),
+    ("I 0\n\nD 0\n\nD 0\n", "6: delete of non-live 0")])
+def test_run_refusal_names_the_stream_line(tmp_path, capsys, body, bad):
+    # the refusal names the file line, blank lines counted
     stream = tmp_path / "s.txt"
-    stream.write_text("stream v1\nI 0\nI 1\nI 0\n")
+    stream.write_text("stream v1\n" + body)
     assert main(RUN + ["--k", "2", "--epsilon", "0.5",
                        "--stream", str(stream)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: op 2: duplicate insert of 0\n"
+    assert out == "" and err == f"error: stream line {bad}\n"
 
 
 @pytest.mark.parametrize("policy", ["every-n:0", "every-n:-3", "every-n:x"])

@@ -283,15 +283,15 @@ def _algo_under(f, k, M):
        checkpoint=st.sampled_from(["every-round", "every-n:2", "every-n:3"]),
        budget=st.integers(1, 140) | st.just(10 ** 6))
 # the resumed chain counts 20 sets at t=5 and refuses, where a fresh walk
-# over the same prefix counts 18 and would certify
+# over the same prefix counts 18 and certifies
 @example(n=6, items=6, seed=2, k=1, matroid=True, checkpoint="every-round",
          budget=18)
 def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
                                                checkpoint, budget):
     """Every certified checkpoint opt is a fresh unbounded brute force over
-    the prefix, and the greedy-bound fallback fires exactly where the
-    chain of walks that resume one another, at the same budget, refuses
-    (under a matroid that chain's count is the one the budget holds)."""
+    the prefix, and the greedy-bound fallback fires exactly where, at the
+    same budget, both the walk resuming the chain of earlier walks and a
+    fresh walk over the prefix refuse."""
     f = random_coverage(n, items, seed, weighted=True)
     order = sorted(f.ground)
     random.Random(seed).shuffle(order)
@@ -308,12 +308,18 @@ def test_incremental_probe_matches_a_full_walk(n, items, seed, k, matroid,
     bounds, _ = run_stream(bound_cfg, f, stream, matroid=M)
     chain, prev, refused = counted(f), None, False
     for rec, fallback in zip(records, bounds, strict=True):
-        if not refused:
+        # a refused resume is retried from scratch; a refusal sticks
+        starts = [] if refused else [None] if prev is None else [prev, None]
+        for start in starts:
             try:
                 prev = brute_force_opt(chain, ground=order[:rec.t],
-                                       budget=budget, prev=prev, **constraint)
+                                       budget=budget, prev=start,
+                                       **constraint)
+                break
             except EnumerationBudgetError:
-                refused = True
+                pass
+        else:
+            refused = True
         if refused:
             assert rec.opt == fallback.opt, rec
         else:

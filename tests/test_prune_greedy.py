@@ -403,8 +403,8 @@ def test_guided_solution_resumes_after_an_invariant_error(seed):
 
 
 def test_guided_every_round_queries_are_pinned():
-    # a solution every round: the resumed L-pass and replay make 210
-    # queries where rerunning both over each prefix makes 2843
+    # a solution every round: the resumed L-pass and replay make 112
+    # queries where rerunning both over each prefix makes 1301
     f = random_coverage(30, 40, 5, weighted=True)
     order = sorted(f.ground)
     M = UniformMatroid(3, order)
@@ -418,5 +418,41 @@ def test_guided_every_round_queries_are_pinned():
         rerun = run_prune_greedy(order[:t], rerun_oracle, M, params,
                                  ref.a_star)
         assert half.solution() == rerun.solution()
-    assert half_oracle.count == 210
-    assert rerun_oracle.count == 2843
+    assert half_oracle.count == 112
+    assert rerun_oracle.count == 1301
+
+
+@pytest.mark.parametrize("partition", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_lpass_asks_each_set_once_per_call(monkeypatch, seed, partition):
+    f, M, order = random_partition_instance(seed)
+    if not partition:
+        M = UniformMatroid(3, f.ground)
+    _, opt = brute_force_opt(counted(f), matroid=M)
+    params = BranchParams.standard(3, 0.33, opt)
+    asked = {"h": [], "M": []}  # the sets the current call asked
+
+    def inner(S):
+        asked["h"].append(frozenset(S))
+        return f(S)
+
+    oracle = CountedOracle(inner, f.ground)
+    independent = M.is_independent
+    monkeypatch.setattr(M, "is_independent", lambda S: asked["M"].append(
+        frozenset(S)) or independent(S))
+
+    def call(history, prev=None):
+        for sets in asked.values():
+            sets.clear()
+        ref = reference_lpass(history, oracle, M, params, prev=prev)
+        for sets in asked.values():
+            assert len(set(sets)) == len(sets)
+        return ref, len(asked["h"]), len(asked["M"])
+
+    _, fresh_h, fresh_M = call(order)
+    assert fresh_h > 0 and fresh_M > 0
+    history, ref = [], None
+    for e in order:  # resumed every round over one growing list
+        history.append(e)
+        ref, _, _ = call(history, prev=ref)
+    assert ref.walked == len(order)
