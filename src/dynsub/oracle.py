@@ -96,12 +96,20 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
     element outside `prev.ground` are walked, and the better of them and
     `prev` is returned.  Without `prev` the empty set is evaluated too.
 
-    Under a cardinality constraint every feasible set is evaluated.
-    Under a matroid the walk is a branch and bound (see _MatroidWalk)
-    that assumes f is monotone and submodular: it evaluates a subset of
-    the independent sets and skips only those that can neither beat nor
-    tie the optimum.  It checks both premises on every edge it expands
-    and raises InvariantError where one fails by more than a float slack.
+    Both walks assume f is monotone and skip only sets that can neither
+    beat the optimum nor win a tie with it.  Under a cardinality
+    constraint a call with new elements first evaluates the cap f(ground)
+    (unless |ground| <= k, when ground is itself walked), which bounds
+    every f(T) for T in ground as computed.  Within a group of the walk,
+    the sets through one first new element with one size come in
+    increasing order of sorted id tuple, so once the incumbent reaches
+    the cap the group ends at its first set above the incumbent's tuple:
+    it and every later set of the group can at best tie, and lose the
+    tie.  A walked set above the cap raises InvariantError.  Under a
+    matroid the walk is a branch and bound (see _MatroidWalk) that also
+    assumes f is submodular.  It checks both premises on every edge it
+    expands and raises InvariantError where one fails by more than a
+    float slack.
 
     The budget counts sets over the whole of `ground`, whether walked
     now or by the calls `prev` resumes: the C(|ground|, <= k) feasible
@@ -135,25 +143,35 @@ def brute_force_opt(oracle: CountedOracle, ground=None, k: int | None = None,
         walk = _MatroidWalk(oracle, matroid, best_set, best_val, count, budget)
         walk.run(old, new, from_empty=prev is None)
         return Optimum(walk.best_set, walk.best_val, ground, walk.count)
-    best_ids = sorted(best_set)  # the tie-break key, sorted once per incumbent
-    for S in _sets_through(new, old, k):
-        v = oracle.eval(S)
-        if v >= best_val:
-            ids = sorted(S)
-            if v > best_val or ids < best_ids:
-                best_set, best_val, best_ids = S, v, ids
-    return Optimum(best_set, best_val, ground, count)
-
-
-def _sets_through(new: list, old: list, k: int):
-    """Each subset of old + new of size <= k that holds an element of
-    `new`, once: those whose first element of `new` is new[i] are new[i]
-    plus a subset of old + new[i+1:]."""
+    best_ids = tuple(sorted(best_set))  # the tie-break key, per incumbent
+    cap = math.inf
+    if new and len(ground) > k:
+        cap = oracle.eval(ground)
+    if best_val > cap:
+        raise InvariantError(f"f is not monotone: f({list(best_ids)}) is "
+                             f"{best_val!r}, above f(ground) {cap!r}")
+    # each feasible set through new[i], and no earlier element of `new`,
+    # is new[i] plus a subset of old + new[i+1:], in groups by size
     for i, e in enumerate(new):
-        pool = old + new[i + 1:]
+        pool = sorted(old + new[i + 1:])
         root = frozenset((e,))
         for j in range(min(k - 1, len(pool)) + 1):
-            yield from map(root.union, itertools.combinations(pool, j))
+            for c in itertools.combinations(pool, j):
+                if best_val >= cap:
+                    at = bisect.bisect(c, e)
+                    if c[:at] + (e,) + c[at:] > best_ids:
+                        break  # the group's sorted tuples only grow
+                S = root.union(c)
+                v = oracle.eval(S)
+                if v >= best_val:
+                    if v > cap:
+                        raise InvariantError(
+                            f"f is not monotone: f({sorted(S)}) is {v!r}, "
+                            f"above f(ground) {cap!r}")
+                    ids = tuple(sorted(S))
+                    if v > best_val or ids < best_ids:
+                        best_set, best_val, best_ids = S, v, ids
+    return Optimum(best_set, best_val, ground, count)
 
 
 class _MatroidWalk:

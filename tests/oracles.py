@@ -13,6 +13,7 @@ this directory on sys.path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -37,6 +38,20 @@ class ModularFunction:
 
     def __call__(self, S):
         return sum(self.weights[e] for e in S)
+
+
+def plain_cardinality_opt(f, ground, k):
+    """(best set, value) over every subset of `ground` of size <= k,
+    each evaluated once: the exact maximum, ties to the smallest sorted
+    id tuple."""
+    best_ids, best_val = (), f(frozenset())
+    ids = sorted(ground)
+    for j in range(1, min(k, len(ids)) + 1):
+        for c in itertools.combinations(ids, j):
+            v = f(frozenset(c))
+            if v > best_val or (v == best_val and c < best_ids):
+                best_ids, best_val = c, v
+    return frozenset(best_ids), best_val
 
 
 def dump_coverage(f, path) -> None:

@@ -236,8 +236,8 @@ def test_memoised_evaluators_match_the_literal_formula(m, a_k, b_k, w, eps,
 def test_block_memo_stays_within_its_bound():
     inst = BipartiteInstance(m=3, k=4, w=2, eps=0.33)
     bound = (inst.a_class + 1) ** inst.w + (inst.b_class + 1) ** inst.w
-    brute_force_opt(CountedOracle(lambda S: bipartite_eval(inst, S),
-                                  inst.ground), k=inst.k)
+    for S in small_sets(inst, inst.k):
+        bipartite_eval(inst, S)
     assert len(inst.block_memo) == bound == 18  # every count vector seen
 
 

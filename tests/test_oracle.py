@@ -1,16 +1,19 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsub import hard_tree
+from dynsub.hard_bipartite import BipartiteInstance, bipartite_eval
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
                            InvariantError, brute_force_opt)
 from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.matroids import PartitionMatroid, UniformMatroid
-from oracles import ModularFunction, check_submodular_monotone, counted
+from oracles import (ModularFunction, check_submodular_monotone, counted,
+                     plain_cardinality_opt)
 
 
 def recording(f, ground):
@@ -123,6 +126,73 @@ def test_brute_force_ties_go_to_the_smallest_sorted_tuple():
     assert brute_force_opt(o, k=2, prev=prev)[0] == {0, 1}
 
 
+def _cardinality_objective(objective, rng, seed):
+    if objective == "bipartite":
+        inst = BipartiteInstance(m=rng.randint(1, 2), k=4, w=2, eps=0.33,
+                                 seed=seed)
+        f = lambda S, inst=inst: bipartite_eval(inst, S)  # noqa: E731
+        f.ground = inst.ground
+        return f
+    if objective == "tree":
+        k, arities = _TREE_SHAPES[seed % len(_TREE_SHAPES)]
+        inst = hard_tree.ShuffledTreeInstance(
+            k=k, eps=0.5, arities=arities,
+            pi=hard_tree.random_tree_pi(arities, seed))
+        f = lambda S, inst=inst: hard_tree.tree_F_eval(inst, S)  # noqa: E731
+        f.ground = inst.ground
+        return f
+    if objective == "weighted":
+        return random_coverage(rng.randint(1, 10), rng.randint(1, 12), seed,
+                               weighted=True)
+    # few items of weight 1: the optimum often covers all, the cap
+    return random_coverage(rng.randint(1, 10), rng.randint(1, 3), seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(objective=st.sampled_from(["weighted", "small-universe", "bipartite",
+                                  "tree"]),
+       k=st.integers(0, 4), shuffled=st.booleans(),
+       seed=st.integers(0, 10 ** 6),
+       cuts=st.sets(st.integers(0, 16), max_size=3))
+# resumed chains where a group whose pool is not sorted ends too early
+@example(objective="bipartite", k=4, shuffled=True, seed=7, cuts={2, 7})
+@example(objective="small-universe", k=2, shuffled=True, seed=93,
+         cuts={1, 2})
+@example(objective="tree", k=2, shuffled=True, seed=1, cuts={3})
+def test_capped_walk_matches_a_plain_enumeration(objective, k, shuffled, seed,
+                                                 cuts):
+    rng = random.Random(seed)
+    f = _cardinality_objective(objective, rng, seed)
+    order = sorted(f.ground)
+    if shuffled:
+        rng.shuffle(order)
+    S, v = plain_cardinality_opt(counted(f).eval, order, k)
+    n_feasible = sum(math.comb(len(order), j)
+                     for j in range(min(k, len(order)) + 1))
+    cuts = sorted({min(t, len(order)) for t in cuts} | {len(order)})
+    for chain in ([len(order)], cuts):  # fresh, then resumed
+        o, asked = recording(f, order)
+        prev, caps = None, []
+        for t in chain:
+            if t > (len(prev.ground) if prev else 0) and t > k:
+                caps.append(frozenset(order[:t]))
+            prev = brute_force_opt(o, ground=order[:t], k=k, prev=prev)
+        assert (sorted(prev[0]), repr(prev[1])) == (sorted(S), repr(v))
+        assert prev.count == n_feasible
+        # each set of size <= k at most once; above k only the caps
+        walked = [T for T in asked if len(T) <= k]
+        assert len(walked) == len(set(walked)) <= n_feasible
+        assert [T for T in asked if len(T) > k] == caps
+
+
+def test_capped_walk_refuses_an_objective_above_its_cap():
+    # {3} is worth 1.1 and the ground 0.5
+    o = CountedOracle(lambda S: 0.1 * len(S) + (S == {3}), range(5))
+    with pytest.raises(InvariantError,
+                       match=r"not monotone: f\(\[3\]\) is 1\.1"):
+        brute_force_opt(o, k=2)
+
+
 def _partition_9():
     return PartitionMatroid({e: e % 3 for e in range(9)}, {0: 1, 1: 2, 2: 1})
 
@@ -138,16 +208,23 @@ def test_brute_force_resume_matches_a_full_walk(matroid):
         prev = brute_force_opt(o, ground=range(t), prev=prev, **constraint)
     assert tuple(prev) == tuple(full)
     assert prev.ground == full.ground
-    # no set was evaluated twice, and count is the evaluations made
-    assert len(asked) == len(set(asked)) == o.count == prev.count
+    # no set was evaluated twice
+    assert len(asked) == len(set(asked)) == o.count
     if matroid:
-        # the branch and bound evaluates a part of the independent sets
+        # the branch and bound evaluates a part of the independent sets,
+        # and count is the evaluations made
+        assert o.count == prev.count
         assert set(asked) <= independent_sets(_partition_9(), range(9))
     else:
-        # every feasible set, the empty one included, was evaluated once
-        assert o.count == full.count
-        assert set(asked) == {frozenset(c) for r in range(4)
-                              for c in itertools.combinations(range(9), r)}
+        # count is every feasible set, the empty one included; the walk
+        # evaluates a part of them, plus the cap f(ground) of each call
+        # whose ground outgrows k
+        feasible = {frozenset(c) for r in range(4)
+                    for c in itertools.combinations(range(9), r)}
+        assert prev.count == full.count == len(feasible)
+        assert [S for S in asked if len(S) > 3] == [frozenset(range(7)),
+                                                    frozenset(range(9))]
+        assert {S for S in asked if len(S) <= 3} <= feasible
 
 
 @pytest.mark.parametrize("matroid", [False, True])
