@@ -19,8 +19,12 @@ class CardinalityState:
     """Fixed-target engine: maintains S with f(S) >= (1-1/e-eps)*target
     once the stream's true optimum reaches the target.
 
-    Once |S| = k, S is final: a later insert is counted but makes no
-    query and files nothing.  Query accounting uses the two-per-marginal
+    Each marginal is one counted query f(S + {e}) through a GrowingSet
+    of the oracle (CountedOracle.growing): over coverage it costs what e
+    covers and gives the float f(S | {e}) gives, bit for bit; over any
+    other function it asks the set S | {e}.  Once |S| = k, S is final:
+    the growing set is dropped, and a later insert is counted but makes
+    no query and files nothing.  Query accounting uses the two-per-marginal
     charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
     inserted element.  Each element is inserted at most once: a Stream
     refuses a repeat, and the engine keeps no set to check it again.
@@ -42,15 +46,17 @@ class CardinalityState:
         self.delta = epsilon * opt_guess / k
         self.n_buckets = int(1.0 / epsilon) + 1  # indices 0 .. floor(1/eps)
         self.buckets: list[set] = [set() for _ in range(self.n_buckets)]
-        self._in_S: set = set()
+        self._S = oracle.growing()  # dropped once S is full
+        self._in_S: set = self._S.members  # S itself, which outlives it
         self.f_of_S = 0.0
         self.charged = 0
         self.inserts = 0
 
     def _marginal(self, e) -> float:
-        # one raw eval against the cached f(S); charged as two
+        # one raw eval of f(S + {e}), through the growing set, against
+        # the cached f(S); charged as two
         self.charged += 2
-        m = self.oracle.eval(self._in_S | {e}) - self.f_of_S
+        m = self._S.value_plus(e) - self.f_of_S
         if m < -NEG_MARGINAL_TOL:
             raise InvariantError(f"negative marginal {m} for element {e}")
         return m
@@ -65,8 +71,10 @@ class CardinalityState:
         return max(ell, 0)
 
     def _accept(self, e, m: float) -> None:
-        self._in_S.add(e)
+        self._S.add(e)
         self.f_of_S += m
+        if len(self._in_S) == self.k:  # final: no marginal is asked again
+            self._S = None
 
     def _threshold(self) -> float:
         return (self.opt_guess - self.f_of_S) / self.k - self.delta

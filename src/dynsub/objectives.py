@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 
-from dynsub.oracle import CountedOracle, EnumerationBudgetError
+from dynsub.oracle import CountedOracle, EnumerationBudgetError, GrowingSet
 
 BRUTE_FORCE_SUPPORT = 20
 MAX_COVER = 4  # most items one random_coverage element covers
@@ -56,6 +56,9 @@ class CoverageFunction:
     def __call__(self, S):
         hit = set().union(*map(self._positions.__getitem__, S))
         return math.fsum(map(self._weight_at.__getitem__, hit))
+
+    def growing_set(self, oracle: CountedOracle) -> "CoverageGrowingSet":
+        return CoverageGrowingSet(oracle, self)
 
     def coverers(self) -> list:
         """Per universe position, the elements covering that item in
@@ -110,6 +113,49 @@ class CoverageFunction:
                              f"the file has {counts[0]} elements and "
                              f"{counts[1]} items")
         return cls(list(weights.items()), covers)
+
+
+def exact_expansion(parts: list) -> list:
+    """Floats whose exact sum is that of `parts`: each is the correctly
+    rounded rest of that sum after those before it.  So math.fsum of the
+    expansion plus more floats is the exact sum of `parts` and them,
+    rounded once."""
+    expansion = []
+    while rest := math.fsum(parts + [-p for p in expansion]):
+        expansion.append(rest)
+    return expansion
+
+
+class CoverageGrowingSet(GrowingSet):
+    """A GrowingSet over a CoverageFunction f that keeps the universe
+    positions S covers and an exact expansion of f(S).  f(S + {e}) is the
+    math.fsum of the expansion and the weights of the positions e adds,
+    the exact sum rounded once, which is f(S | {e}) bit for bit; it costs
+    what e covers, not what S does."""
+
+    def __init__(self, oracle: CountedOracle, f: CoverageFunction):
+        super().__init__(oracle)
+        self._positions, self._weight_at = f._positions, f._weight_at
+        self._hit: set = set()
+        self._expansion: list = []
+
+    def value_plus(self, e) -> float:
+        return self.oracle.eval(self, e)
+
+    def f_plus(self, e) -> float:
+        hit, weight_at = self._hit, self._weight_at
+        parts = self._expansion.copy()
+        for i in self._positions[e]:  # a plain loop: no comprehension frame
+            if i not in hit:
+                parts.append(weight_at[i])
+        return math.fsum(parts)
+
+    def add(self, e) -> None:
+        self.members.add(e)
+        new = [i for i in self._positions[e] if i not in self._hit]
+        self._hit.update(new)
+        self._expansion = exact_expansion(
+            self._expansion + [self._weight_at[i] for i in new])
 
 
 def random_coverage(n_elements: int, n_items: int, seed: int,
@@ -178,11 +224,7 @@ def multilinear_shifts(f, x, step: float):
     if not isinstance(f, CoverageFunction):
         return lambda S: multilinear_exact(f, plus_direction(x, S, step))
     terms = _coverage_terms(f, x)
-    # each float is the rounded rest of the exact sum after those before
-    # it, so together they sum to it exactly
-    expansion = []
-    while rest := math.fsum(terms + [-p for p in expansion]):
-        expansion.append(rest)
+    expansion = exact_expansion(terms)
     total = math.fsum(expansion)
     weight_at, coverers, positions = f._weight_at, f.coverers(), f._positions
 

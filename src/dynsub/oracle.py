@@ -26,6 +26,9 @@ class InvariantError(RuntimeError):
     """A guarantee of the paper or of a construction does not hold."""
 
 
+_ALONE = object()  # eval's `plus` when S is asked alone
+
+
 class CountedOracle:
     """Wraps a set function with a monotone query counter.
 
@@ -44,12 +47,48 @@ class CountedOracle:
     def count(self) -> int:
         return self._count
 
-    def eval(self, S) -> float:
-        S = frozenset(S)
-        if not S <= self.ground:
-            raise DomainError(f"unknown elements: {sorted(S - self.ground)}")
+    def eval(self, S, plus=_ALONE) -> float:
+        """f(S); or, given `plus`, f(S + {plus}) for a growing set S of
+        this oracle that answers it itself (see GrowingSet)."""
+        if plus is _ALONE:
+            S = frozenset(S)
+            if not S <= self.ground:
+                raise DomainError(
+                    f"unknown elements: {sorted(S - self.ground)}")
+            self._count += 1
+            return float(self._inner(S)) - self._offset
+        if plus not in self.ground:  # S holds only elements asked before
+            raise DomainError(f"unknown elements: {[plus]}")
         self._count += 1
-        return float(self._inner(S)) - self._offset
+        return S.f_plus(plus) - self._offset
+
+    def growing(self) -> "GrowingSet":
+        """An empty GrowingSet over this oracle: the inner function's own
+        (`inner.growing_set(oracle)`) where it has one, else the plain one."""
+        make = getattr(self._inner, "growing_set", None)
+        return GrowingSet(self) if make is None else make(self)
+
+
+class GrowingSet:
+    """A set S that only grows, with counted queries f(S + {e}).
+
+    `value_plus(e)` is one counted query and `add(e)` puts e in S, whose
+    elements are `members`.  This plain one hands CountedOracle.eval the
+    set S | {e}, so the inner function sees the sets it would see without
+    it.  An inner function may offer one that keeps what it needs of S
+    and answers f(S + {e}) in `f_plus(e)`, which eval calls after its
+    domain check and count (CoverageFunction.growing_set).
+    """
+
+    def __init__(self, oracle: CountedOracle):
+        self.oracle = oracle
+        self.members: set = set()
+
+    def value_plus(self, e) -> float:
+        return self.oracle.eval(self.members | {e})
+
+    def add(self, e) -> None:
+        self.members.add(e)
 
 
 def best_of(oracle: CountedOracle, sets) -> frozenset:

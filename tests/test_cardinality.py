@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from dynsub import cardinality
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
-from dynsub.objectives import random_coverage
-from dynsub.oracle import CountedOracle, InvariantError, brute_force_opt
+from dynsub.objectives import (CoverageFunction, CoverageGrowingSet,
+                               random_coverage)
+from dynsub.oracle import (CountedOracle, DomainError, GrowingSet,
+                           InvariantError, brute_force_opt)
 from oracles import ModularFunction, counted
 
 
@@ -165,7 +167,11 @@ def test_bucket_soundness_and_charged_ceiling(n, items, seed, k, epsilon,
 
 class QueryEveryInsert(CardinalityState):
     """Test oracle: the engine as it was before a full S became final,
-    querying and filing every insert."""
+    querying and filing every insert, each marginal asked from scratch."""
+
+    def _marginal(self, e) -> float:
+        self.charged += 2
+        return self.oracle.eval(self._in_S | {e}) - self.f_of_S
 
     def insert(self, e) -> None:
         self.inserts += 1
@@ -214,3 +220,120 @@ def test_ladder_query_count_pinned():
     S = lad.solution()
     assert o.count == 5296
     assert repr(f(S)) == "278.95988989897"
+
+
+# weights from 1e16 down to 1e-16, with repeats: a left-to-right sum of
+# 1e16 and two 1.0s stays at 1e16, the exact sum rounds to 1e16 + 2
+SPREAD_WEIGHTS = ([1e16] + [1.0] * 4 + [10.0 ** -j for j in range(1, 17)]
+                  + [3e-16] * 3)
+assert sum([1e16, 1.0, 1.0]) != math.fsum([1e16, 1.0, 1.0])
+
+
+@st.composite
+def spread_coverage(draw):
+    items = [f"u{j}" for j in range(len(SPREAD_WEIGHTS))]
+    n = draw(st.integers(1, 10))
+    covers = {e: draw(st.sets(st.sampled_from(items), min_size=1,
+                              max_size=5)) for e in range(n)}
+    return CoverageFunction(list(zip(items, SPREAD_WEIGHTS)), covers)
+
+
+def assert_marginals_match(f, order, data):
+    o, ref = counted(f), counted(f)
+    grow = o.growing()
+    assert type(grow) is CoverageGrowingSet
+    for e in order:
+        for x in sorted(f.ground):
+            before = o.count
+            v = grow.value_plus(x)
+            assert o.count == before + 1
+            assert repr(v) == repr(ref.eval(grow.members | {x}))
+        if data.draw(st.booleans()):
+            grow.add(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_incremental_marginal_is_eval_bit_for_bit(n, items, seed, data):
+    f = random_coverage(n, items, seed=seed, weighted=True)
+    assert_marginals_match(f, data.draw(st.permutations(sorted(f.ground))),
+                           data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=spread_coverage(), data=st.data())
+def test_incremental_marginal_is_eval_bit_for_bit_at_spread_weights(f, data):
+    assert_marginals_match(f, data.draw(st.permutations(sorted(f.ground))),
+                           data)
+
+
+def opaque(f) -> CountedOracle:
+    """f behind a lambda: the engine takes the plain growing set."""
+    return CountedOracle(lambda S: f(S), f.ground)
+
+
+def engine_view(eng):
+    return (eng.solution(), repr(eng.f_of_S), eng.buckets, eng.oracle.count,
+            eng.charged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 15), items=st.integers(1, 12),
+       seed=st.integers(0, 10 ** 6), k=st.integers(1, 5),
+       epsilon=st.floats(0.1, 0.9), opt_guess=st.floats(0.1, 15.0),
+       data=st.data())
+def test_coverage_and_plain_growing_sets_agree(n, items, seed, k, epsilon,
+                                               opt_guess, data):
+    f = random_coverage(n, items, seed=seed, weighted=True)
+    order = data.draw(st.permutations(sorted(f.ground)))
+    assert type(opaque(f).growing()) is GrowingSet
+    eng = CardinalityState(counted(f), k, epsilon, opt_guess)
+    plain = CardinalityState(opaque(f), k, epsilon, opt_guess)
+    lad, plain_lad = GuessLadder(counted(f), k, epsilon), GuessLadder(
+        opaque(f), k, epsilon)
+    for e in order:
+        eng.insert(e)
+        plain.insert(e)
+        assert engine_view(eng) == engine_view(plain)
+        lad.insert(e)
+        plain_lad.insert(e)
+        assert lad.threads.keys() == plain_lad.threads.keys()
+        for i, t in lad.threads.items():
+            assert engine_view(t) == engine_view(plain_lad.threads[i])
+        assert lad.oracle.count == plain_lad.oracle.count
+        assert lad.solution() == plain_lad.solution()
+        assert lad.oracle.count == plain_lad.oracle.count
+
+
+def test_unknown_element_through_growing_set_names_it_like_eval():
+    f = random_coverage(6, 5, seed=2, weighted=True)
+    o = counted(f)
+    grow = o.growing()
+    grow.add(1)
+    grow.add(3)
+    with pytest.raises(DomainError) as plain:
+        o.eval(grow.members | {99})
+    with pytest.raises(DomainError) as incremental:
+        grow.value_plus(99)
+    assert str(incremental.value) == str(plain.value) == (
+        "unknown elements: [99]")
+    eng = CardinalityState(o, k=3, epsilon=0.25, opt_guess=5.0)
+    with pytest.raises(DomainError, match=r"^unknown elements: \[99\]$"):
+        eng.insert(99)
+    assert o.count == 0
+
+
+def test_full_engine_makes_no_query_and_drops_its_growing_set():
+    f = random_coverage(10, 8, seed=4, weighted=True)
+    eng = CardinalityState(counted(f), k=2, epsilon=0.25, opt_guess=1e-3)
+    assert type(eng._S) is CoverageGrowingSet
+    eng.insert(0)
+    eng.insert(1)  # every marginal clears the tiny target's threshold
+    assert eng.solution() == {0, 1}
+    assert eng._S is None
+    count = eng.oracle.count
+    for e in range(2, 10):
+        eng.insert(e)
+    assert eng.oracle.count == count
+    assert eng._S is None and eng.solution() == {0, 1}
