@@ -19,15 +19,18 @@ class CardinalityState:
     """Fixed-target engine: maintains S with f(S) >= (1-1/e-eps)*target
     once the stream's true optimum reaches the target.
 
-    Each marginal is one counted query f(S + {e}) through a GrowingSet
-    of the oracle (CountedOracle.growing): over coverage it costs what e
-    covers and gives the float f(S | {e}) gives, bit for bit; over any
-    other function it asks the set S | {e}.  Once |S| = k, S is final:
-    the growing set is dropped, and a later insert is counted but makes
-    no query and files nothing.  Query accounting uses the two-per-marginal
-    charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
-    inserted element.  Each element is inserted at most once: a Stream
-    refuses a repeat, and the engine keeps no set to check it again.
+    Each marginal is one counted query f(S + {e}), `oracle.eval(S, e)`
+    on a GrowingSet of the oracle (CountedOracle.growing): over coverage
+    it costs what e covers and gives the float f(S | {e}) gives, bit for
+    bit; over any other function it asks the set S | {e}.  Once |S| = k,
+    S is final: the growing set is dropped, and a later insert is counted
+    in `inserts` but makes no query and files nothing.  A GuessLadder
+    stops feeding an engine once its S is full, so there `inserts` counts
+    the elements the engine was fed while S had room.  Query accounting
+    uses the two-per-marginal charging convention; `charged` never
+    exceeds 2*(floor(1/eps)+2) per insert counted.  Each element is
+    inserted at most once: a Stream refuses a repeat, and the engine
+    keeps no set to check it again.
     """
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
@@ -46,72 +49,66 @@ class CardinalityState:
         self.delta = epsilon * opt_guess / k
         self.n_buckets = int(1.0 / epsilon) + 1  # indices 0 .. floor(1/eps)
         self.buckets: list[set] = [set() for _ in range(self.n_buckets)]
-        self._S = oracle.growing()  # dropped once S is full
+        self._S = oracle.growing()  # None once S is full
         self._in_S: set = self._S.members  # S itself, which outlives it
         self.f_of_S = 0.0
         self.charged = 0
         self.inserts = 0
 
-    def _marginal(self, e) -> float:
-        # one raw eval of f(S + {e}), through the growing set, against
-        # the cached f(S); charged as two
-        self.charged += 2
-        m = self._S.value_plus(e) - self.f_of_S
-        if m < -NEG_MARGINAL_TOL:
-            raise InvariantError(f"negative marginal {m} for element {e}")
-        return m
-
-    def _bucket_index(self, m: float, cap: int | None = None) -> int:
-        ell = int(m / self.delta) if m > 0 else 0
-        # a marginal of opt/k or more is accepted, and a full S files
-        # nothing, so the clamp only bites on a float landing on the edge
-        ell = min(ell, self.n_buckets - 1)
-        if cap is not None:
-            ell = min(ell, cap)
-        return max(ell, 0)
-
-    def _accept(self, e, m: float) -> None:
-        self._S.add(e)
-        self.f_of_S += m
-        if len(self._in_S) == self.k:  # final: no marginal is asked again
-            self._S = None
-
-    def _threshold(self) -> float:
-        return (self.opt_guess - self.f_of_S) / self.k - self.delta
-
     def insert(self, e) -> None:
+        """Tests e against the threshold (opt - f(S))/k - delta, and files
+        it in the bucket of its marginal if S does not take it.  Once S
+        takes an element, retests bucketed elements, smallest id of the
+        top bucket first, while S has room and a bucket at or above the
+        residual's index r holds one."""
         self.inserts += 1
-        if len(self._in_S) >= self.k:  # a full S is final
+        S = self._S
+        if S is None:  # a full S is final
             return
-        m = self._marginal(e)
-        if m >= self._threshold():
-            self._accept(e, m)
-            self._revoke()
-        else:
-            self.buckets[self._bucket_index(m)].add(e)
-
-    def _revoke(self) -> None:
-        while len(self._in_S) < self.k:
-            r = max(0, int((self.opt_guess - self.f_of_S) / (self.k * self.delta)))
+        cap = self.n_buckets - 1  # the highest bucket e may be filed in
+        fresh = True
+        while True:
+            # one raw eval of f(S + {e}) against the cached f(S); charged
+            # as two
+            self.charged += 2
+            f_of_S = self.f_of_S
+            m = self.oracle.eval(S, e) - f_of_S
+            if m < -NEG_MARGINAL_TOL:
+                raise InvariantError(f"negative marginal {m} for element {e}")
+            if m >= (self.opt_guess - f_of_S) / self.k - self.delta:
+                S.add(e)
+                self.f_of_S = f_of_S + m
+                if len(self._in_S) == self.k:  # final: no query again
+                    self._S = None
+                    return
+            else:
+                # a marginal of opt/k or more is accepted, so the top clamp
+                # only bites on a float landing on the edge; a failed
+                # retest moves below its old bucket (cap) where there is
+                # one, or the loop could spin on a float tie
+                ell = int(m / self.delta) if m > 0 else 0
+                if ell > cap:
+                    ell = max(cap, 0)
+                self.buckets[ell].add(e)
+                if fresh:
+                    return
+            fresh = False
+            r = max(0, int((self.opt_guess - self.f_of_S)
+                           / (self.k * self.delta)))
             ell = next((i for i in range(self.n_buckets - 1, r - 1, -1)
                         if self.buckets[i]), None)
             if ell is None:
                 return
             e = min(self.buckets[ell])
             self.buckets[ell].remove(e)
-            m = self._marginal(e)
-            if m >= self._threshold():
-                self._accept(e, m)
-            else:
-                # failed retests must move strictly down or the loop
-                # could spin on a float tie
-                self.buckets[self._bucket_index(m, cap=ell - 1)].add(e)
+            cap = ell - 1
 
     def solution(self) -> frozenset:
         return frozenset(self._in_S)
 
     def charged_budget(self) -> int:
-        """The exact per-run ceiling 2*(floor(1/eps)+2)*inserts."""
+        """The exact per-run ceiling 2*(floor(1/eps)+2)*inserts, over the
+        inserts counted (see the class docstring)."""
         return 2 * (int(1.0 / self.epsilon) + 2) * self.inserts
 
 
@@ -121,7 +118,8 @@ def default_window_length(k: int, epsilon: float) -> int:
 
 class GuessLadder:
     """Target-free wrapper: a moving window of fixed-target engines with
-    targets (1+eps)^i, answer taken from the best engine."""
+    targets (1+eps)^i, answer taken from the best engine.  Only the
+    window's engines whose S is not full are fed: a full S is final."""
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
         self.oracle = oracle
@@ -131,6 +129,9 @@ class GuessLadder:
         self.threads: dict[int, CardinalityState] = {}
         self.v_max = 0.0
         self.i_t: int | None = None
+        # the window's engines whose S is not full, in ascending target;
+        # empty while every singleton so far is worthless
+        self._live: list[CardinalityState] = []
 
     def insert(self, e) -> None:
         v = self.oracle.eval({e})
@@ -143,15 +144,21 @@ class GuessLadder:
                                  f"ladder's targets past the float range"
                                  ) from None
             self.v_max, self.i_t = v, i_t
-        if self.i_t is None:  # all singletons worthless so far
-            return
-        window = range(self.i_t, self.i_t + self.window_length + 1)
-        for i in window:
-            if i not in self.threads:
-                self.threads[i] = CardinalityState(
-                    self.oracle, self.k, self.epsilon,
-                    (1.0 + self.epsilon) ** i)
-            self.threads[i].insert(e)
+            window = range(i_t, i_t + self.window_length + 1)
+            for i in window:
+                if i not in self.threads:
+                    self.threads[i] = CardinalityState(
+                        self.oracle, self.k, self.epsilon,
+                        (1.0 + self.epsilon) ** i)
+            self._live = [self.threads[i] for i in window
+                          if self.threads[i]._S is not None]
+        filled = False
+        for st in self._live:
+            st.insert(e)  # looked up on the class, where a tracer wraps it
+            if st._S is None:
+                filled = True
+        if filled:
+            self._live = [st for st in self._live if st._S is not None]
 
     def solution(self) -> frozenset:
         """Best thread solution; re-evaluated through the counted oracle."""

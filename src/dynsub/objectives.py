@@ -115,14 +115,17 @@ class CoverageFunction:
         return cls(list(weights.items()), covers)
 
 
-def exact_expansion(parts: list) -> list:
+def exact_expansion(parts: list, total: float | None = None) -> list:
     """Floats whose exact sum is that of `parts`: each is the correctly
     rounded rest of that sum after those before it.  So math.fsum of the
     expansion plus more floats is the exact sum of `parts` and them,
-    rounded once."""
+    rounded once.  `total`, when given, is math.fsum(parts), the first
+    of them."""
     expansion = []
-    while rest := math.fsum(parts + [-p for p in expansion]):
+    rest = math.fsum(parts) if total is None else total
+    while rest:
         expansion.append(rest)
+        rest = math.fsum(parts + [-p for p in expansion])
     return expansion
 
 
@@ -131,16 +134,15 @@ class CoverageGrowingSet(GrowingSet):
     positions S covers and an exact expansion of f(S).  f(S + {e}) is the
     math.fsum of the expansion and the weights of the positions e adds,
     the exact sum rounded once, which is f(S | {e}) bit for bit; it costs
-    what e covers, not what S does."""
+    what e covers, not what S does.  `add(e)` right after `f_plus(e)`
+    builds the new expansion from that query's parts and sum."""
 
     def __init__(self, oracle: CountedOracle, f: CoverageFunction):
         super().__init__(oracle)
         self._positions, self._weight_at = f._positions, f._weight_at
         self._hit: set = set()
         self._expansion: list = []
-
-    def value_plus(self, e) -> float:
-        return self.oracle.eval(self, e)
+        self._last = None  # (e, parts, sum) of the last f_plus
 
     def f_plus(self, e) -> float:
         hit, weight_at = self._hit, self._weight_at
@@ -148,14 +150,18 @@ class CoverageGrowingSet(GrowingSet):
         for i in self._positions[e]:  # a plain loop: no comprehension frame
             if i not in hit:
                 parts.append(weight_at[i])
-        return math.fsum(parts)
+        total = math.fsum(parts)
+        self._last = e, parts, total
+        return total
 
     def add(self, e) -> None:
+        if self._last is None or self._last[0] != e:
+            self.f_plus(e)  # uncounted: builds the parts of S + {e}
+        _, parts, total = self._last
+        self._last = None
         self.members.add(e)
-        new = [i for i in self._positions[e] if i not in self._hit]
-        self._hit.update(new)
-        self._expansion = exact_expansion(
-            self._expansion + [self._weight_at[i] for i in new])
+        self._hit.update(self._positions[e])
+        self._expansion = exact_expansion(parts, total)
 
 
 def random_coverage(n_elements: int, n_items: int, seed: int,

@@ -72,20 +72,20 @@ class CountedOracle:
 class GrowingSet:
     """A set S that only grows, with counted queries f(S + {e}).
 
-    `value_plus(e)` is one counted query and `add(e)` puts e in S, whose
-    elements are `members`.  This plain one hands CountedOracle.eval the
-    set S | {e}, so the inner function sees the sets it would see without
-    it.  An inner function may offer one that keeps what it needs of S
-    and answers f(S + {e}) in `f_plus(e)`, which eval calls after its
-    domain check and count (CoverageFunction.growing_set).
+    `oracle.eval(S, e)` is one counted query, which calls `f_plus(e)`
+    after its domain check and count, and `add(e)` puts e in S, whose
+    elements are `members`.  This plain one hands the inner function the
+    set S | {e}, so it sees the sets it would see without a growing set.
+    An inner function may offer one that keeps what it needs of S and
+    answers f(S + {e}) itself (CoverageFunction.growing_set).
     """
 
     def __init__(self, oracle: CountedOracle):
-        self.oracle = oracle
+        self._inner = oracle._inner
         self.members: set = set()
 
-    def value_plus(self, e) -> float:
-        return self.oracle.eval(self.members | {e})
+    def f_plus(self, e) -> float:
+        return float(self._inner(frozenset(self.members | {e})))
 
     def add(self, e) -> None:
         self.members.add(e)

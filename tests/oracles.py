@@ -19,9 +19,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from dynsub.cardinality import NEG_MARGINAL_TOL, CardinalityState, GuessLadder
 from dynsub.hard_bipartite import _g_block, fhat
 from dynsub.harness import RoundRecord
-from dynsub.oracle import CountedOracle
+from dynsub.oracle import CountedOracle, InvariantError
 
 
 def counted(f) -> CountedOracle:
@@ -38,6 +39,81 @@ class ModularFunction:
 
     def __call__(self, S):
         return sum(self.weights[e] for e in S)
+
+
+class AskTheSetEngine(CardinalityState):
+    """The cardinality engine written out step by step: each marginal is
+    `oracle.eval(S | {e})` on the set itself, against the cached f(S),
+    and a full S is final.  Over coverage its values are the engine's
+    bit for bit, since f(S) is a correctly rounded sum."""
+
+    def _marginal(self, e) -> float:
+        self.charged += 2
+        m = self.oracle.eval(self._in_S | {e}) - self.f_of_S
+        if m < -NEG_MARGINAL_TOL:
+            raise InvariantError(f"negative marginal {m} for element {e}")
+        return m
+
+    def _bucket_index(self, m: float, cap: int) -> int:
+        ell = int(m / self.delta) if m > 0 else 0
+        return max(min(ell, self.n_buckets - 1, cap), 0)
+
+    def _threshold(self) -> float:
+        return (self.opt_guess - self.f_of_S) / self.k - self.delta
+
+    def _accept(self, e, m: float) -> None:
+        self._in_S.add(e)
+        self.f_of_S += m
+
+    def insert(self, e) -> None:
+        self.inserts += 1
+        if len(self._in_S) >= self.k:
+            return
+        m = self._marginal(e)
+        if m >= self._threshold():
+            self._accept(e, m)
+            self._revoke()
+        else:
+            self.buckets[self._bucket_index(m, self.n_buckets - 1)].add(e)
+
+    def _revoke(self) -> None:
+        while len(self._in_S) < self.k:
+            r = max(0, int((self.opt_guess - self.f_of_S)
+                           / (self.k * self.delta)))
+            ell = next((i for i in range(self.n_buckets - 1, r - 1, -1)
+                        if self.buckets[i]), None)
+            if ell is None:
+                return
+            e = min(self.buckets[ell])
+            self.buckets[ell].remove(e)
+            m = self._marginal(e)
+            if m >= self._threshold():
+                self._accept(e, m)
+            else:
+                self.buckets[self._bucket_index(m, ell - 1)].add(e)
+
+
+class FeedEveryEngine(GuessLadder):
+    """The guess ladder that feeds every engine of the window each
+    insert, full or not; `engine` makes the engines."""
+
+    def __init__(self, oracle, k, epsilon, engine=CardinalityState):
+        super().__init__(oracle, k, epsilon)
+        self.engine = engine
+
+    def insert(self, e) -> None:
+        v = self.oracle.eval({e})
+        if v > self.v_max:
+            self.v_max = v
+            self.i_t = math.floor(math.log(v) / math.log1p(self.epsilon))
+        if self.i_t is None:
+            return
+        for i in range(self.i_t, self.i_t + self.window_length + 1):
+            if i not in self.threads:
+                self.threads[i] = self.engine(self.oracle, self.k,
+                                              self.epsilon,
+                                              (1.0 + self.epsilon) ** i)
+            self.threads[i].insert(e)
 
 
 def plain_cardinality_opt(f, ground, k):

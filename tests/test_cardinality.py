@@ -1,18 +1,17 @@
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsub import cardinality
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
 from dynsub.objectives import (CoverageFunction, CoverageGrowingSet,
                                random_coverage)
 from dynsub.oracle import (CountedOracle, DomainError, GrowingSet,
                            InvariantError, brute_force_opt)
-from oracles import ModularFunction, counted
+from oracles import (AskTheSetEngine, FeedEveryEngine, ModularFunction,
+                     counted)
 
 
 def test_modular_all_above_threshold():
@@ -165,13 +164,9 @@ def test_bucket_soundness_and_charged_ceiling(n, items, seed, k, epsilon,
                 assert probe.eval(S | {x}) - base < (ell + 1) * eng.delta + 1e-9
 
 
-class QueryEveryInsert(CardinalityState):
+class QueryEveryInsert(AskTheSetEngine):
     """Test oracle: the engine as it was before a full S became final,
     querying and filing every insert, each marginal asked from scratch."""
-
-    def _marginal(self, e) -> float:
-        self.charged += 2
-        return self.oracle.eval(self._in_S | {e}) - self.f_of_S
 
     def insert(self, e) -> None:
         self.inserts += 1
@@ -180,7 +175,7 @@ class QueryEveryInsert(CardinalityState):
             self._accept(e, m)
             self._revoke()
         else:
-            self.buckets[self._bucket_index(m)].add(e)
+            self.buckets[self._bucket_index(m, self.n_buckets - 1)].add(e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,16 +190,15 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
     eng = CardinalityState(counted(f), k, epsilon, opt_guess)
     ref = QueryEveryInsert(counted(f), k, epsilon, opt_guess)
     lad = GuessLadder(counted(f), k, epsilon)
-    ref_lad = GuessLadder(counted(f), k, epsilon)
+    ref_lad = FeedEveryEngine(counted(f), k, epsilon,
+                              engine=QueryEveryInsert)
     for e in order:
         eng.insert(e)
         ref.insert(e)
         assert eng.solution() == ref.solution()
         assert eng.f_of_S == ref.f_of_S
         lad.insert(e)
-        with mock.patch.object(cardinality, "CardinalityState",
-                               QueryEveryInsert):
-            ref_lad.insert(e)
+        ref_lad.insert(e)
         assert lad.solution() == ref_lad.solution()
     assert all(type(t) is QueryEveryInsert for t in ref_lad.threads.values())
     assert eng.oracle.count <= ref.oracle.count
@@ -245,7 +239,7 @@ def assert_marginals_match(f, order, data):
     for e in order:
         for x in sorted(f.ground):
             before = o.count
-            v = grow.value_plus(x)
+            v = o.eval(grow, x)
             assert o.count == before + 1
             assert repr(v) == repr(ref.eval(grow.members | {x}))
         if data.draw(st.booleans()):
@@ -306,6 +300,49 @@ def test_coverage_and_plain_growing_sets_agree(n, items, seed, k, epsilon,
         assert lad.oracle.count == plain_lad.oracle.count
 
 
+class Recorded:
+    """f behind a callable that records every set it is asked."""
+
+    def __init__(self, f):
+        self.f, self.asked = f, []
+
+    def __call__(self, S):
+        self.asked.append(S)
+        return self.f(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 15), items=st.integers(1, 12),
+       seed=st.integers(0, 10 ** 6), k=st.integers(1, 5),
+       epsilon=st.floats(0.1, 0.9), plain=st.booleans(), data=st.data())
+def test_ladder_of_live_engines_matches_feeding_every_engine(
+        n, items, seed, k, epsilon, plain, data):
+    # the reference asks each marginal as the set S | {e}; on the plain
+    # path the inner function must see exactly the sets it sees
+    f = random_coverage(n, items, seed=seed, weighted=True)
+    order = data.draw(st.permutations(sorted(f.ground)))
+    inner, ref_inner = (Recorded(f), Recorded(f)) if plain else (f, f)
+    lad = GuessLadder(CountedOracle(inner, f.ground), k, epsilon)
+    ref = FeedEveryEngine(CountedOracle(ref_inner, f.ground), k, epsilon,
+                          engine=AskTheSetEngine)
+    assert type(lad.oracle.growing()) is (GrowingSet if plain
+                                          else CoverageGrowingSet)
+    for e in order:
+        lad.insert(e)
+        ref.insert(e)
+        assert lad.threads.keys() == ref.threads.keys()
+        for i, t in lad.threads.items():
+            assert engine_view(t) == engine_view(ref.threads[i])
+            # a full engine is not fed, so its budget stops growing
+            assert t.charged <= t.charged_budget()
+            assert t.inserts <= ref.threads[i].inserts
+        assert lad.solution() == ref.solution()
+        assert lad.oracle.count == ref.oracle.count
+    if plain:
+        assert all(type(S) is frozenset for S in inner.asked)
+        assert inner.asked == ref_inner.asked
+
+
 def test_unknown_element_through_growing_set_names_it_like_eval():
     f = random_coverage(6, 5, seed=2, weighted=True)
     o = counted(f)
@@ -315,7 +352,7 @@ def test_unknown_element_through_growing_set_names_it_like_eval():
     with pytest.raises(DomainError) as plain:
         o.eval(grow.members | {99})
     with pytest.raises(DomainError) as incremental:
-        grow.value_plus(99)
+        o.eval(grow, 99)
     assert str(incremental.value) == str(plain.value) == (
         "unknown elements: [99]")
     eng = CardinalityState(o, k=3, epsilon=0.25, opt_guess=5.0)
