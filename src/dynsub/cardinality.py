@@ -60,7 +60,8 @@ class CardinalityState:
         it in the bucket of its marginal if S does not take it.  Once S
         takes an element, retests bucketed elements, smallest id of the
         top bucket first, while S has room and a bucket at or above the
-        residual's index r holds one."""
+        residual's index r holds one.  A failed retest is filed below the
+        bucket it came from, and dropped if that was bucket 0."""
         self.inserts += 1
         S = self._S
         if S is None:  # a full S is final
@@ -84,12 +85,14 @@ class CardinalityState:
             else:
                 # a marginal of opt/k or more is accepted, so the top clamp
                 # only bites on a float landing on the edge; a failed
-                # retest moves below its old bucket (cap) where there is
-                # one, or the loop could spin on a float tie
+                # retest moves below its old bucket (cap), or the loop
+                # could spin on a float tie, and one from bucket 0 is
+                # dropped
                 ell = int(m / self.delta) if m > 0 else 0
                 if ell > cap:
-                    ell = max(cap, 0)
-                self.buckets[ell].add(e)
+                    ell = cap
+                if ell >= 0:
+                    self.buckets[ell].add(e)
                 if fresh:
                     return
             fresh = False

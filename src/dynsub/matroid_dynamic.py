@@ -31,6 +31,7 @@ from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
 
 BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
 MODES = ("guided", "exhaustive")  # of MatroidHalf
+_UNASKED = object()  # reference_lpass's memo has no entry for the set
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,9 @@ class PruneGreedyState:
     level budget.  When a budget runs out the state advances to the
     next funded level and rescans the elements it has taken.  It takes
     them in order from `history`, a list its owner only appends to, when
-    feed() is called; `fed` counts them.
+    feed() is called; `fed` counts them.  S is the `members` of a growing
+    set of h (CountedOracle.growing), and each marginal is one counted
+    query h(S + {e}) through it, `h.eval(G, e)`.
     """
 
     def __init__(self, h: CountedOracle, M, params: BranchParams, a,
@@ -106,7 +109,7 @@ class PruneGreedyState:
         self.a = a
         self.c = [v * params.delta for v in a]
         self.ell = next((i + 1 for i, b in enumerate(self.c) if b > 0.0), None)
-        self._in_S: set = set()
+        self._S = h.growing()
         self.h_of_S = 0.0
         self.history = history
         self.fed = 0
@@ -116,16 +119,16 @@ class PruneGreedyState:
     def _try_accept(self, e) -> bool:
         """Test e at the active level; returns True if the level budget
         was newly exhausted."""
-        if e in self._in_S:
+        S = self._S
+        if e in S.members:
             return False
-        cand = frozenset(self._in_S | {e})
-        if not self.M.is_independent(cand):
+        if not self.M.is_independent(frozenset(S.members | {e})):
             return False
         self.charged += 2
-        m = self.h.eval(cand) - self.h_of_S
+        m = self.h.eval(S, e) - self.h_of_S
         if m < self.params.threshold(self.ell):
             return False
-        self._in_S.add(e)
+        S.add(e)
         self.h_of_S += m
         self.c[self.ell - 1] -= m
         return self.c[self.ell - 1] <= 0.0
@@ -151,7 +154,7 @@ class PruneGreedyState:
                 self._revoke()
 
     def solution(self) -> frozenset:
-        return frozenset(self._in_S)
+        return frozenset(self._S.members)
 
     def check_budget_semantics(self) -> None:
         """The level invariants, and the per-branch query ceiling
@@ -208,6 +211,12 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     h must be a function of the set: passes that build an equal
     candidate set read its value, or its dependence in M, from what the
     call asked first, so no set is asked of h or M twice in one call.
+    A pass asks h(base + {e}) through a growing set whose members are
+    its base (CountedOracle.growing), made when the pass first asks a
+    set the call has not.  A pass that follows one which took nothing,
+    from the same base and base value over the same walked range, would
+    read only those answers; when the best marginal that pass saw is
+    below this pass's threshold, this one takes nothing without walking.
     """
     walked = len(history)
     if prev is not None and prev.history is not history:
@@ -218,6 +227,9 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     t_val = 0.0
     a_star = []
     passes = []
+    # (base, base_val, start) of the last walk, if it took nothing, and the
+    # best marginal it saw
+    idle, best = None, math.inf
     for level in range(1, params.L + 1):
         thresh = params.threshold(level)
         # built by the adds a fresh call makes, so the sets made from it
@@ -228,23 +240,36 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
         else:
             base_val, S_ell = prev.passes[level - 1]
             S_ell = list(S_ell)
-            base.update(e for e, _ in S_ell)
-            start = prev.walked
-        for i in range(start, walked):
-            e = history[i]
-            if e in base:
-                continue
-            cand = frozenset(base | {e})
-            if cand not in asked:
-                asked[cand] = (h.eval(cand) if M.is_independent(cand)
-                               else None)
-            if asked[cand] is None:
-                continue
-            m = asked[cand] - base_val
-            if m >= thresh:
-                S_ell.append((e, m))
+            for e, _ in S_ell:
                 base.add(e)
-                base_val += m
+            start = prev.walked
+        if idle != (base, base_val, start) or best >= thresh:
+            G = None  # a growing set at the base, made for the first query
+            took, best = len(S_ell), -math.inf
+            for i in range(start, walked):
+                e = history[i]
+                if e in base:
+                    continue
+                cand = frozenset(base | {e})
+                v = asked.get(cand, _UNASKED)
+                if v is _UNASKED:
+                    v = asked[cand] = None
+                    if M.is_independent(cand):
+                        G = h.growing(base) if G is None else G
+                        v = asked[cand] = h.eval(G, e)
+                if v is None:
+                    continue
+                m = v - base_val
+                if m >= thresh:
+                    S_ell.append((e, m))
+                    if G is None:
+                        base.add(e)
+                    else:
+                        G.add(e)
+                    base_val += m
+                elif m > best:
+                    best = m
+            idle = (base, base_val, start) if took == len(S_ell) else None
         passes.append((base_val, tuple(S_ell)))
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0
@@ -363,7 +388,8 @@ def amplified_run(elements, M, f, cfg: AmplifierConfig, k: int,
     S_tau/m into x.  F(x) is evaluated exactly (see multilinear_exact),
     for a coverage f as a correctly rounded sum; there g patches an exact
     expansion of that sum with only the terms S changes, so g(S) is never
-    negative (see multilinear_shifts).
+    negative, and the L-pass and the pruned greedy ask g(S + e) through
+    growing sets at the cost of what e covers (see multilinear_shifts).
     The exact offline optimum picks each stage guess.  It comes from
     brute_force_opt, whose branch and bound under M evaluates a small
     part of the independent sets and needs f monotone submodular.  Each

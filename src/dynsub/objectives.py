@@ -9,11 +9,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import types
 
 from dynsub.oracle import CountedOracle, EnumerationBudgetError, GrowingSet
 
 BRUTE_FORCE_SUPPORT = 20
 MAX_COVER = 4  # most items one random_coverage element covers
+# what a growing set holds for an empty S: shared, and read-only
+_NOTHING = frozenset()
+_NO_TERMS = types.MappingProxyType({})
 
 
 class CoverageFunction:
@@ -57,8 +61,9 @@ class CoverageFunction:
         hit = set().union(*map(self._positions.__getitem__, S))
         return math.fsum(map(self._weight_at.__getitem__, hit))
 
-    def growing_set(self, oracle: CountedOracle) -> "CoverageGrowingSet":
-        return CoverageGrowingSet(oracle, self)
+    def growing_set(self, oracle: CountedOracle,
+                    S: set) -> "CoverageGrowingSet":
+        return CoverageGrowingSet(oracle, self, S)
 
     def coverers(self) -> list:
         """Per universe position, the elements covering that item in
@@ -115,17 +120,17 @@ class CoverageFunction:
         return cls(list(weights.items()), covers)
 
 
-def exact_expansion(parts: list, total: float | None = None) -> list:
+def exact_expansion(parts: list) -> list:
     """Floats whose exact sum is that of `parts`: each is the correctly
     rounded rest of that sum after those before it.  So math.fsum of the
     expansion plus more floats is the exact sum of `parts` and them,
-    rounded once.  `total`, when given, is math.fsum(parts), the first
-    of them."""
-    expansion = []
-    rest = math.fsum(parts) if total is None else total
+    rounded once."""
+    expansion, parts = [], list(parts)
+    rest = math.fsum(parts)
     while rest:
         expansion.append(rest)
-        rest = math.fsum(parts + [-p for p in expansion])
+        parts.append(-rest)
+        rest = math.fsum(parts)
     return expansion
 
 
@@ -134,34 +139,39 @@ class CoverageGrowingSet(GrowingSet):
     positions S covers and an exact expansion of f(S).  f(S + {e}) is the
     math.fsum of the expansion and the weights of the positions e adds,
     the exact sum rounded once, which is f(S | {e}) bit for bit; it costs
-    what e covers, not what S does.  `add(e)` right after `f_plus(e)`
-    builds the new expansion from that query's parts and sum."""
+    what e covers, not what S does.  An empty S holds no container but
+    `members`."""
 
-    def __init__(self, oracle: CountedOracle, f: CoverageFunction):
-        super().__init__(oracle)
+    __slots__ = ("_positions", "_weight_at", "_hit", "_expansion")
+
+    def __init__(self, oracle: CountedOracle, f: CoverageFunction, S: set):
+        super().__init__(oracle, S)
         self._positions, self._weight_at = f._positions, f._weight_at
-        self._hit: set = set()
-        self._expansion: list = []
-        self._last = None  # (e, parts, sum) of the last f_plus
+        self._hit, self._expansion = _NOTHING, ()
+        if S:
+            self._hit = set().union(*map(self._positions.__getitem__, S))
+            self._expansion = exact_expansion(
+                list(map(self._weight_at.__getitem__, self._hit)))
 
     def f_plus(self, e) -> float:
         hit, weight_at = self._hit, self._weight_at
-        parts = self._expansion.copy()
+        parts = list(self._expansion)
         for i in self._positions[e]:  # a plain loop: no comprehension frame
             if i not in hit:
                 parts.append(weight_at[i])
-        total = math.fsum(parts)
-        self._last = e, parts, total
-        return total
+        return math.fsum(parts)
 
     def add(self, e) -> None:
-        if self._last is None or self._last[0] != e:
-            self.f_plus(e)  # uncounted: builds the parts of S + {e}
-        _, parts, total = self._last
-        self._last = None
+        if not self.members:
+            self._hit = set()
+        hit, weight_at = self._hit, self._weight_at
+        parts = list(self._expansion)
+        for i in self._positions[e]:
+            if i not in hit:
+                parts.append(weight_at[i])
+                hit.add(i)
+        self._expansion = exact_expansion(parts)
         self.members.add(e)
-        self._hit.update(self._positions[e])
-        self._expansion = exact_expansion(parts, total)
 
 
 def random_coverage(n_elements: int, n_items: int, seed: int,
@@ -208,8 +218,9 @@ def _item_term(w: float, elements, x) -> float:
 
 
 def _coverage_terms(f: CoverageFunction, x) -> list:
-    """The per-item terms of the coverage F(x), in universe order."""
-    return [_item_term(w, elements, x)
+    """The per-item terms of the coverage F(x), in universe order.  An
+    item no element covers has the term 0.0, which is w * (1 - 1.0)."""
+    return [_item_term(w, elements, x) if elements else 0.0
             for (_, w), elements in zip(f.universe, f.coverers())]
 
 
@@ -217,34 +228,103 @@ def multilinear_shifts(f, x, step: float):
     """S -> F(plus_direction(x, S, step)), equal bit for bit to
     multilinear_exact at that point.
 
-    For a CoverageFunction the terms of F(x) and an exact expansion of
-    their sum are computed once; a call recomputes only the terms of the
-    items S covers, the only ones whose factors change, and returns the
-    correctly rounded sum of the expansion, each old term negated and
-    each new one.  That is the exact shifted sum, rounded once, so it is
-    multilinear_exact's value at the shifted point.  Each -old precedes
-    its +new, so the running exact sum stays within the total weight.
+    For a CoverageFunction this is a ShiftedCoverage, whose growing sets
+    answer F(x + (S + {e}) * step) at the cost of what e covers
+    (ShiftGrowingSet); otherwise each call evaluates the shifted point
+    with multilinear_exact.
     """
     _validate_point(x)
     x = plus_direction(x, (), step)  # a copy; refuses a step outside (0, 1]
     if not isinstance(f, CoverageFunction):
         return lambda S: multilinear_exact(f, plus_direction(x, S, step))
-    terms = _coverage_terms(f, x)
-    expansion = exact_expansion(terms)
-    total = math.fsum(expansion)
-    weight_at, coverers, positions = f._weight_at, f.coverers(), f._positions
+    return ShiftedCoverage(f, x, step)
 
-    def shifted(S) -> float:
-        hit = set().union(*map(positions.__getitem__, S))
-        if not hit:
-            return total
-        x_new = plus_direction(x, S, step)
+
+class ShiftedCoverage:
+    """S -> F(x + S * step), coordinates clamped at 1, for a coverage f.
+
+    The terms of F(x) and an exact expansion of their sum are computed
+    once.  A shifted point changes only the terms of the items S covers,
+    so the value is the correctly rounded sum of the expansion, each of
+    those terms negated and each recomputed, factors in ascending id.
+    That is the exact shifted sum, rounded once, so it is
+    multilinear_exact's value at the shifted point.  Each -old precedes
+    its +new, so the running exact sum stays within the total weight.
+    """
+
+    def __init__(self, f: CoverageFunction, x: dict, step: float):
+        self.terms = _coverage_terms(f, x)
+        self.expansion = exact_expansion(self.terms)
+        self.positions, self.coverers = f._positions, f.coverers()
+        self.weight_at = f._weight_at
+        # each element's factor 1 - x_e of a term, as it is and shifted
+        self.stay = {e: 1.0 - x.get(e, 0.0) for e in f.covers}
+        self.moved = {e: 1.0 - min(x.get(e, 0.0) + step, 1.0)
+                      for e in f.covers}
+
+    def __call__(self, S) -> float:
+        S = set(S)
+        hit = set().union(*map(self.positions.__getitem__, S))
+        return math.fsum(self.parts(self.expansion, {}, S, hit))
+
+    def growing_set(self, oracle: CountedOracle,
+                    S: set) -> "ShiftGrowingSet":
+        return ShiftGrowingSet(oracle, self, S)
+
+    def parts(self, expansion, terms: dict, S, items, e=None,
+              new: dict | None = None) -> list:
+        """`expansion`, then for each position in `items` its term in
+        `terms` (by default its term at x) negated and its term with the
+        elements of S and e shifted; `new`, when given, takes each new
+        term."""
+        coverers, weight_at, base = self.coverers, self.weight_at, self.terms
+        moved, stay = self.moved, self.stay
         parts = list(expansion)
-        for i in hit:
-            parts += (-terms[i], _item_term(weight_at[i], coverers[i], x_new))
-        return math.fsum(parts)
+        for i in items:
+            miss = 1.0
+            for c in coverers[i]:
+                miss *= moved[c] if c == e or c in S else stay[c]
+            term = weight_at[i] * (1.0 - miss)
+            parts += (-terms.get(i, base[i]), term)
+            if new is not None:
+                new[i] = term
+        return parts
 
-    return shifted
+
+class ShiftGrowingSet(GrowingSet):
+    """A GrowingSet over a ShiftedCoverage: F(x + (S + {e}) * step) from
+    the current terms of the items S covers and an exact expansion of
+    F(x + S * step), at the cost of what e covers.  It is the exact
+    shifted sum rounded once, so it equals the ShiftedCoverage's value at
+    S | {e} bit for bit.  x stays with the ShiftedCoverage, and an empty
+    S holds no container but `members`."""
+
+    __slots__ = ("_shift", "_terms", "_expansion")
+
+    def __init__(self, oracle: CountedOracle, shift: ShiftedCoverage,
+                 S: set):
+        super().__init__(oracle, S)
+        self._shift = shift
+        self._terms, self._expansion = _NO_TERMS, shift.expansion
+        if S:
+            self._terms = {}
+            hit = set().union(*map(shift.positions.__getitem__, S))
+            self._expansion = exact_expansion(shift.parts(
+                shift.expansion, {}, S, hit, new=self._terms))
+
+    def f_plus(self, e) -> float:
+        shift = self._shift
+        return math.fsum(shift.parts(self._expansion, self._terms,
+                                     self.members, shift.positions[e], e))
+
+    def add(self, e) -> None:
+        shift = self._shift
+        if not self.members:
+            self._terms = {}
+        self._expansion = exact_expansion(shift.parts(
+            self._expansion, self._terms, self.members, shift.positions[e],
+            e, new=self._terms))
+        self.members.add(e)
 
 
 def multilinear_exact(f, x) -> float:

@@ -42,6 +42,7 @@ class CountedOracle:
         self.ground = frozenset(ground)
         self._offset = float(inner(frozenset()))
         self._count = 0
+        self._growing_set = getattr(inner, "growing_set", None)
 
     @property
     def count(self) -> int:
@@ -62,11 +63,15 @@ class CountedOracle:
         self._count += 1
         return S.f_plus(plus) - self._offset
 
-    def growing(self) -> "GrowingSet":
-        """An empty GrowingSet over this oracle: the inner function's own
-        (`inner.growing_set(oracle)`) where it has one, else the plain one."""
-        make = getattr(self._inner, "growing_set", None)
-        return GrowingSet(self) if make is None else make(self)
+    def growing(self, S=None) -> "GrowingSet":
+        """A GrowingSet over this oracle whose members are the set S
+        itself, a new empty set by default: the inner function's own
+        (`inner.growing_set(oracle, S)`) where it has one, else the plain
+        one.  Once it is made, S grows only through its `add`."""
+        S = set() if S is None else S
+        if self._growing_set is None:
+            return GrowingSet(self, S)
+        return self._growing_set(self, S)
 
 
 class GrowingSet:
@@ -77,12 +82,15 @@ class GrowingSet:
     elements are `members`.  This plain one hands the inner function the
     set S | {e}, so it sees the sets it would see without a growing set.
     An inner function may offer one that keeps what it needs of S and
-    answers f(S + {e}) itself (CoverageFunction.growing_set).
+    answers f(S + {e}) itself (CoverageFunction.growing_set).  A growing
+    set keeps nothing of a query once it returns.
     """
 
-    def __init__(self, oracle: CountedOracle):
+    __slots__ = ("_inner", "members")
+
+    def __init__(self, oracle: CountedOracle, S: set):
         self._inner = oracle._inner
-        self.members: set = set()
+        self.members = S
 
     def f_plus(self, e) -> float:
         return float(self._inner(frozenset(self.members | {e})))

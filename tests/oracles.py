@@ -19,10 +19,31 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from hypothesis import strategies as st
+
 from dynsub.cardinality import NEG_MARGINAL_TOL, CardinalityState, GuessLadder
 from dynsub.hard_bipartite import _g_block, fhat
 from dynsub.harness import RoundRecord
+from dynsub.matroid_dynamic import LPassResult
+from dynsub.objectives import CoverageFunction
 from dynsub.oracle import CountedOracle, InvariantError
+
+
+# coverage weights from 1e16 down to 1e-16, with repeats, where a
+# left-to-right sum and the exact sum round apart
+SPREAD_WEIGHTS = ([1e16] + [1.0] * 4 + [10.0 ** -j for j in range(1, 17)]
+                  + [3e-16] * 3)
+
+
+@st.composite
+def spread_coverage(draw):
+    """A coverage function of 1 to 10 elements over the SPREAD_WEIGHTS
+    items, each element covering 1 to 5 of them."""
+    items = [f"u{j}" for j in range(len(SPREAD_WEIGHTS))]
+    n = draw(st.integers(1, 10))
+    covers = {e: draw(st.sets(st.sampled_from(items), min_size=1,
+                              max_size=5)) for e in range(n)}
+    return CoverageFunction(list(zip(items, SPREAD_WEIGHTS)), covers)
 
 
 def counted(f) -> CountedOracle:
@@ -41,6 +62,17 @@ class ModularFunction:
         return sum(self.weights[e] for e in S)
 
 
+class Recorded:
+    """f behind a callable that records every set it is asked."""
+
+    def __init__(self, f):
+        self.f, self.asked = f, []
+
+    def __call__(self, S):
+        self.asked.append(S)
+        return self.f(S)
+
+
 class AskTheSetEngine(CardinalityState):
     """The cardinality engine written out step by step: each marginal is
     `oracle.eval(S | {e})` on the set itself, against the cached f(S),
@@ -54,9 +86,12 @@ class AskTheSetEngine(CardinalityState):
             raise InvariantError(f"negative marginal {m} for element {e}")
         return m
 
-    def _bucket_index(self, m: float, cap: int) -> int:
-        ell = int(m / self.delta) if m > 0 else 0
-        return max(min(ell, self.n_buckets - 1, cap), 0)
+    def _file(self, e, m: float, cap: int) -> None:
+        """Files e in the bucket of m, at most `cap`; drops it when cap
+        is below bucket 0."""
+        ell = min(int(m / self.delta) if m > 0 else 0, self.n_buckets - 1, cap)
+        if ell >= 0:
+            self.buckets[ell].add(e)
 
     def _threshold(self) -> float:
         return (self.opt_guess - self.f_of_S) / self.k - self.delta
@@ -74,7 +109,7 @@ class AskTheSetEngine(CardinalityState):
             self._accept(e, m)
             self._revoke()
         else:
-            self.buckets[self._bucket_index(m, self.n_buckets - 1)].add(e)
+            self._file(e, m, self.n_buckets - 1)
 
     def _revoke(self) -> None:
         while len(self._in_S) < self.k:
@@ -90,7 +125,7 @@ class AskTheSetEngine(CardinalityState):
             if m >= self._threshold():
                 self._accept(e, m)
             else:
-                self.buckets[self._bucket_index(m, ell - 1)].add(e)
+                self._file(e, m, ell - 1)
 
 
 class FeedEveryEngine(GuessLadder):
@@ -114,6 +149,71 @@ class FeedEveryEngine(GuessLadder):
                                               self.epsilon,
                                               (1.0 + self.epsilon) ** i)
             self.threads[i].insert(e)
+
+
+def every_pass_lpass(history: list, h: CountedOracle, M, params,
+                     prev: LPassResult | None = None) -> LPassResult:
+    """reference_lpass as it was before passes were skipped and h was
+    asked through growing sets: every pass walks its range and asks h
+    the set base | {e} itself.  It keeps the per-call memo, so h and M
+    are asked the same sets, and resumes from `prev` the same way."""
+    walked = len(history)
+    if prev is not None and prev.history is not history:
+        prev = None
+    asked: dict = {}
+    T: list = []
+    T_set: set = set()
+    t_val = 0.0
+    a_star = []
+    passes = []
+    for level in range(1, params.L + 1):
+        thresh = params.threshold(level)
+        base = set(T_set)
+        if prev is None:
+            base_val, S_ell, start = t_val, [], 0
+        else:
+            base_val, S_ell = prev.passes[level - 1]
+            S_ell = list(S_ell)
+            base.update(e for e, _ in S_ell)
+            start = prev.walked
+        for i in range(start, walked):
+            e = history[i]
+            if e in base:
+                continue
+            cand = frozenset(base | {e})
+            if cand not in asked:
+                asked[cand] = (h.eval(cand) if M.is_independent(cand)
+                               else None)
+            if asked[cand] is None:
+                continue
+            m = asked[cand] - base_val
+            if m >= thresh:
+                S_ell.append((e, m))
+                base.add(e)
+                base_val += m
+        passes.append((base_val, tuple(S_ell)))
+        pass_val = base_val - t_val
+        a_ell = int(pass_val / params.delta) if pass_val > 0 else 0
+        a_star.append(a_ell)
+        if a_ell > 0:
+            c = a_ell * params.delta
+            for e, m in S_ell:
+                T.append(e)
+                T_set.add(e)
+                t_val += m
+                c -= m
+                if c <= 0.0:
+                    break
+            else:
+                raise InvariantError("pass value failed to exhaust its own budget")
+        if prev is not None and a_ell != prev.a_star[level - 1]:
+            prev = None
+    if sum(a_star) > params.R:
+        raise InvariantError(
+            f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
+            "opt is likely mis-scaled")
+    return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val,
+                       history=history, walked=walked, passes=tuple(passes))
 
 
 def plain_cardinality_opt(f, ground, k):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsub.objectives import (CoverageFunction, multilinear_exact,
-                               multilinear_shifts, plus_direction,
-                               random_coverage)
-from dynsub.oracle import EnumerationBudgetError
-from oracles import dump_coverage
+from dynsub.objectives import (CoverageFunction, ShiftGrowingSet,
+                               multilinear_exact, multilinear_shifts,
+                               plus_direction, random_coverage)
+from dynsub.oracle import CountedOracle, DomainError, EnumerationBudgetError
+from oracles import dump_coverage, spread_coverage
 
 
 def test_coverage_eval_example():
@@ -233,6 +233,57 @@ def test_multilinear_shifts_of_a_plain_set_function():
         # the closed form rounds differently, but only in the last digits
         assert math.isclose(multilinear_exact(f, y), shifted(S),
                             rel_tol=1e-12)
+
+
+@st.composite
+def _stage_cases(draw):
+    """A coverage f, random or with spread weights, a point x with
+    coordinates at 0, at the clamp 1 and in between, and a step."""
+    if draw(st.booleans()):
+        f = random_coverage(draw(st.integers(1, 12)), draw(st.integers(1, 10)),
+                            seed=draw(st.integers(0, 10 ** 6)), weighted=True)
+    else:
+        f = draw(spread_coverage())
+    coord = st.one_of(st.sampled_from([0.0, 1.0, 0.9]), st.floats(0.0, 1.0),
+                      st.integers(1, 999).map(lambda i: i / 1000))
+    x = draw(st.dictionaries(st.sampled_from(sorted(f.ground)), coord))
+    return f, x, 1.0 / draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stage_cases(), st.data())
+def test_stage_gain_growing_set_is_the_shifted_value_bit_for_bit(case, data):
+    f, x, step = case
+    shift = multilinear_shifts(f, x, step)
+    o = CountedOracle(shift, f.ground)
+    exact = CountedOracle(
+        lambda S: multilinear_exact(f, plus_direction(x, S, step)), f.ground)
+    grow = o.growing()
+    assert type(grow) is ShiftGrowingSet and not grow.members
+    assert grow._expansion is shift.expansion  # an empty S shares them
+    for e in data.draw(st.permutations(sorted(f.ground))):
+        # every element, those already in S too
+        for y in sorted(f.ground):
+            kept = (grow._terms, grow._expansion)
+            before = o.count
+            v = o.eval(grow, y)
+            assert o.count == before + 1
+            assert all(a is b for a, b in zip(kept, (grow._terms,
+                                                     grow._expansion)))
+            T = grow.members | {y}
+            assert repr(v) == repr(exact.eval(T))
+            assert repr(grow.f_plus(y)) == repr(shift(T)) == repr(
+                multilinear_exact(f, plus_direction(x, T, step)))
+        if data.draw(st.booleans()):
+            grow.add(e)
+            # a growing set made at S itself answers the same
+            made = o.growing(set(grow.members))
+            assert [repr(made.f_plus(y)) for y in sorted(f.ground)] == [
+                repr(grow.f_plus(y)) for y in sorted(f.ground)]
+    count = o.count
+    with pytest.raises(DomainError, match=r"^unknown elements: \[99\]$"):
+        o.eval(grow, 99)
+    assert o.count == count
 
 
 def test_multilinear_factor_order_is_ascending_id():

@@ -11,10 +11,11 @@ from dynsub.matroid_dynamic import (BranchParams, InvariantError,
                                     branch_count, enumerate_branches,
                                     reference_lpass, run_prune_greedy)
 from dynsub.matroids import PartitionMatroid, UniformMatroid
-from dynsub.objectives import random_coverage
+from dynsub.objectives import (multilinear_exact, multilinear_shifts,
+                               plus_direction, random_coverage)
 from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
                            brute_force_opt)
-from oracles import ModularFunction, counted
+from oracles import ModularFunction, Recorded, counted, every_pass_lpass
 
 
 def random_partition_instance(seed, n_max=20, rank_max=4):
@@ -224,6 +225,25 @@ def test_branches_and_lpass_hold_the_runner_history():
         assert all(st.history is exhaustive.history
                    for st in exhaustive.states)
     assert guided.history == exhaustive.history == order
+
+
+def test_exhaustive_branches_hold_their_S_in_growing_sets():
+    # one state per branch tuple: S is its growing set's members, with
+    # no second set, and a state whose S is empty shares what it holds
+    f = random_coverage(12, 8, 1)
+    half = MatroidHalf(counted(f), UniformMatroid(3, f.ground),
+                       BranchParams.standard(3, 0.5, 6.0), mode="exhaustive")
+    for e in sorted(f.ground):
+        half.insert(e)
+        half.solution()
+    assert len(half.states) == 3876
+    empty = [st._S for st in half.states if not st.solution()]
+    assert 0 < len(empty) < len(half.states)
+    assert len({(id(G._hit), id(G._expansion)) for G in empty}) == 1
+    for st in half.states:
+        assert st.solution() == frozenset(st._S.members)
+        assert not any(isinstance(v, set) and v is not st._S.members
+                       for v in vars(st).values())
 
 
 def test_single_element_stream_uniform_one():
@@ -456,3 +476,80 @@ def test_lpass_asks_each_set_once_per_call(monkeypatch, seed, partition):
         history.append(e)
         ref, _, _ = call(history, prev=ref)
     assert ref.walked == len(order)
+
+
+def _lpass_view(res):
+    return res.a_star, res.T, repr(res.value), repr(res.passes), res.walked
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6),
+       k_eps=st.sampled_from([(2, 0.5), (3, 0.33), (4, 0.25)]),
+       opt_scale=st.sampled_from([0.2, 0.5, 1.0, 3.0]),
+       partition=st.booleans(),
+       kind=st.sampled_from(["coverage", "stage", "plain"]), data=st.data())
+def test_lpass_equals_the_every_pass_lpass(n, items, seed, k_eps, opt_scale,
+                                           partition, kind, data):
+    # the L-pass that asks through growing sets and skips passes returns
+    # what every_pass_lpass returns and asks h and M the same number of
+    # times, after every call, fresh and resumed; a mis-scaled opt
+    # raises the same InvariantError
+    k, eps = k_eps
+    f = random_coverage(n, items, seed, weighted=True)
+    ground = sorted(f.ground)
+    if partition:
+        blocks = {e: data.draw(st.integers(0, 2)) for e in ground}
+        caps = {b: data.draw(st.integers(1, 2))
+                for b in sorted(set(blocks.values()))}
+        Ms = [PartitionMatroid(blocks, caps) for _ in range(2)]
+    else:
+        Ms = [UniformMatroid(k, ground) for _ in range(2)]
+    _, opt = brute_force_opt(counted(f), matroid=Ms[0])
+    assume(opt > 0)
+    if kind == "stage":  # a stage gain of the amplifier
+        coord = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+        x = data.draw(st.dictionaries(st.sampled_from(ground), coord))
+        step = 1.0 / data.draw(st.integers(1, 4))
+        inners = [multilinear_shifts(f, x, step),
+                  lambda S: multilinear_exact(f, plus_direction(x, S, step))]
+    elif kind == "plain":
+        inners = [Recorded(f), Recorded(f)]
+    else:
+        inners = [f, f]
+    hs = [CountedOracle(inner, f.ground) for inner in inners]
+    params = BranchParams.standard(k, eps, opt_scale * opt)
+    order = data.draw(st.permutations(ground))
+    lpasses = (reference_lpass, every_pass_lpass)
+
+    def calls(history, prevs):
+        """Each side's result, or InvariantError message, and the h and
+        M queries it made."""
+        out = []
+        for lpass, h, M, prev in zip(lpasses, hs, Ms, prevs):
+            counts = h.count, M.query_count
+            try:
+                got = lpass(history, h, M, params, prev=prev)
+            except InvariantError as exc:
+                got = str(exc)
+            out.append((got, h.count - counts[0], M.query_count - counts[1]))
+        return out
+
+    history, prevs = [], [None, None]
+    for e in [None] + order:
+        if e is not None:
+            history.append(e)
+        for resumed in (False, True):
+            out = calls(history if resumed else list(history),
+                        prevs if resumed else [None, None])
+            (new, new_h, new_M), (ref, ref_h, ref_M) = out
+            assert (new_h, new_M) == (ref_h, ref_M)
+            if isinstance(ref, str):
+                assert new == ref
+                continue
+            assert _lpass_view(new) == _lpass_view(ref)
+            if resumed:
+                prevs = [new, ref]
+    if kind == "plain":  # the same frozensets, iterating in the same order
+        assert [(type(S), tuple(S)) for S in inners[0].asked] == [
+            (frozenset, tuple(S)) for S in inners[1].asked]

@@ -49,6 +49,9 @@ INPUT_PATHS = [
             "--out", "r.json"], 0),
     (RUN + ["--oracle", "random:8:6:0", "--opt-mode", "greedy-bound"], 0),
     (HALF + ["--mode", "exhaustive"], 0),
+    (["run", "--algo", "matroid-half", "--oracle", "random:12:8:1",
+      "--matroid", "blocks.matroid", "--k", "3", "--epsilon", "0.33",
+      "--opt", "6.0"], 0),
     (RUN + ["--oracle", "random:8:6:0", "--k", "x"], 1),
 ]
 
@@ -91,7 +94,7 @@ def readme_commands() -> list:
 
 def write_inputs() -> None:
     """The files the runs read, in the working directory."""
-    # the README's matroid-half command names blocks.matroid
+    # a partition file, which the README names but does not show
     dump_partition(PartitionMatroid({e: e % 3 for e in range(12)},
                                     {0: 1, 1: 1, 2: 1}), "blocks.matroid")
     Stream.inserts([5, 3, 7, 0]).dump("some.stream")
