@@ -13,24 +13,31 @@ import math
 from dynsub.oracle import CountedOracle, InvariantError, best_of
 
 NEG_MARGINAL_TOL = 1e-9
+# f({e}) settles bucket 0 only this far, relative to max(f(S), f({e})),
+# below both bounds: m is a difference of floats, and f(S) a sum of them
+SETTLE_MARGIN = 1e-9
 
 
 class CardinalityState:
     """Fixed-target engine: maintains S with f(S) >= (1-1/e-eps)*target
     once the stream's true optimum reaches the target.
 
-    Each marginal is one counted query f(S + {e}), `oracle.eval(S, e)`
+    A marginal it asks is one counted query f(S + {e}), `oracle.eval(S, e)`
     on a GrowingSet of the oracle (CountedOracle.growing): over coverage
     it costs what e covers and gives the float f(S | {e}) gives, bit for
-    bit; over any other function it asks the set S | {e}.  Once |S| = k,
-    S is final: the growing set is dropped, and a later insert is counted
-    in `inserts` but makes no query and files nothing.  A GuessLadder
-    stops feeding an engine once its S is full, so there `inserts` counts
-    the elements the engine was fed while S had room.  Query accounting
-    uses the two-per-marginal charging convention; `charged` never
-    exceeds 2*(floor(1/eps)+2) per insert counted.  Each element is
-    inserted at most once: a Stream refuses a repeat, and the engine
-    keeps no set to check it again.
+    bit; over any other function it asks the set S | {e}.  Given v =
+    f({e}), a fresh test asks nothing when S is empty, as m is then v, or
+    when v plus a margin scaled to max(f(S), v) is below both delta and
+    the threshold, as m <= v files e in bucket 0: both rules need f
+    monotone submodular, and a settled m is charged but not checked for
+    a negative value.  Once |S| = k, S is final: the growing set is
+    dropped, and a later insert is counted in `inserts` but makes no
+    query and files nothing.  A GuessLadder stops feeding an engine once
+    its S is full, so there `inserts` counts the elements the engine was
+    fed while S had room.  Query accounting uses the two-per-marginal
+    charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
+    insert counted.  Each element is inserted at most once: a Stream
+    refuses a repeat, and the engine keeps no set to check it again.
     """
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
@@ -55,13 +62,14 @@ class CardinalityState:
         self.charged = 0
         self.inserts = 0
 
-    def insert(self, e) -> None:
+    def insert(self, e, v: float | None = None) -> None:
         """Tests e against the threshold (opt - f(S))/k - delta, and files
         it in the bucket of its marginal if S does not take it.  Once S
         takes an element, retests bucketed elements, smallest id of the
         top bucket first, while S has room and a bucket at or above the
         residual's index r holds one.  A failed retest is filed below the
-        bucket it came from, and dropped if that was bucket 0."""
+        bucket it came from, and dropped if that was bucket 0.  `v` is
+        f({e}) where the caller has asked it."""
         self.inserts += 1
         S = self._S
         if S is None:  # a full S is final
@@ -70,13 +78,19 @@ class CardinalityState:
         fresh = True
         while True:
             # one raw eval of f(S + {e}) against the cached f(S); charged
-            # as two
+            # as two, also where f({e}) stands in for it
             self.charged += 2
             f_of_S = self.f_of_S
-            m = self.oracle.eval(S, e) - f_of_S
+            threshold = (self.opt_guess - f_of_S) / self.k - self.delta
+            if (v is not None and self._in_S and v + SETTLE_MARGIN
+                    * max(f_of_S, v) < min(self.delta, threshold)):
+                self.buckets[0].add(e)  # m <= f({e}) = v
+                return
+            m = (self.oracle.eval(S, e) if v is None or self._in_S
+                 else v) - f_of_S
             if m < -NEG_MARGINAL_TOL:
                 raise InvariantError(f"negative marginal {m} for element {e}")
-            if m >= (self.opt_guess - f_of_S) / self.k - self.delta:
+            if m >= threshold:
                 S.add(e)
                 self.f_of_S = f_of_S + m
                 if len(self._in_S) == self.k:  # final: no query again
@@ -95,7 +109,7 @@ class CardinalityState:
                     self.buckets[ell].add(e)
                 if fresh:
                     return
-            fresh = False
+            fresh, v = False, None  # f({e}) serves the first test only
             r = max(0, int((self.opt_guess - self.f_of_S)
                            / (self.k * self.delta)))
             ell = next((i for i in range(self.n_buckets - 1, r - 1, -1)
@@ -122,7 +136,8 @@ def default_window_length(k: int, epsilon: float) -> int:
 class GuessLadder:
     """Target-free wrapper: a moving window of fixed-target engines with
     targets (1+eps)^i, answer taken from the best engine.  Only the
-    window's engines whose S is not full are fed: a full S is final."""
+    window's engines whose S is not full are fed: a full S is final.
+    Each insert asks f({e}) once and hands it to the engines it feeds."""
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
         self.oracle = oracle
@@ -135,6 +150,7 @@ class GuessLadder:
         # the window's engines whose S is not full, in ascending target;
         # empty while every singleton so far is worthless
         self._live: list[CardinalityState] = []
+        self._asked: dict = {}  # target index -> (|S|, f(S)) last asked
 
     def insert(self, e) -> None:
         v = self.oracle.eval({e})
@@ -157,13 +173,21 @@ class GuessLadder:
                           if self.threads[i]._S is not None]
         filled = False
         for st in self._live:
-            st.insert(e)  # looked up on the class, where a tracer wraps it
+            st.insert(e, v)  # looked up on the class, where a tracer wraps it
             if st._S is None:
                 filled = True
         if filled:
             self._live = [st for st in self._live if st._S is not None]
 
     def solution(self) -> frozenset:
-        """Best thread solution; re-evaluated through the counted oracle."""
-        return best_of(self.oracle, (self.threads[i].solution()
-                                     for i in sorted(self.threads)))
+        """Best engine solution by best_of's rule, in ascending target.
+        S only grows, so f(S) is asked once per change of |S|; an empty S
+        is worth 0.0, which the rule never picks, and is not asked."""
+        for i in sorted(self.threads):
+            S = self.threads[i]._in_S
+            if S and self._asked.get(i, (0,))[0] != len(S):
+                self._asked[i] = (len(S), self.oracle.eval(S))
+        order = sorted(self._asked)
+        return frozenset(best_of(self.oracle,
+                                 [self.threads[i]._in_S for i in order],
+                                 [self._asked[i][1] for i in order]))

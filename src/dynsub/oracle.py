@@ -99,12 +99,14 @@ class GrowingSet:
         self.members.add(e)
 
 
-def best_of(oracle: CountedOracle, sets) -> frozenset:
-    """The first of `sets` whose counted value beats every earlier one
-    by more than 1e-15; the empty set when none is positive."""
+def best_of(oracle: CountedOracle, sets, values=None) -> frozenset:
+    """The first of `sets` whose value beats every earlier one by more
+    than 1e-15; the empty set when none is positive.  Each value is a
+    counted query, unless `values` gives them in the order of `sets`."""
+    sets = list(sets)
     best, best_val = frozenset(), 0.0
-    for S in sets:
-        v = oracle.eval(S)
+    for S, v in zip(sets, map(oracle.eval, sets) if values is None
+                    else values):
         if v > best_val + 1e-15:
             best, best_val = S, v
     return best

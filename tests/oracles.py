@@ -26,7 +26,7 @@ from dynsub.hard_bipartite import _g_block, fhat
 from dynsub.harness import RoundRecord
 from dynsub.matroid_dynamic import LPassResult
 from dynsub.objectives import CoverageFunction
-from dynsub.oracle import CountedOracle, InvariantError
+from dynsub.oracle import CountedOracle, InvariantError, best_of
 
 
 # coverage weights from 1e16 down to 1e-16, with repeats, where a
@@ -130,7 +130,8 @@ class AskTheSetEngine(CardinalityState):
 
 class FeedEveryEngine(GuessLadder):
     """The guess ladder that feeds every engine of the window each
-    insert, full or not; `engine` makes the engines."""
+    insert, full or not, without f({e}), and asks every engine's set at
+    each extraction; `engine` makes the engines."""
 
     def __init__(self, oracle, k, epsilon, engine=CardinalityState):
         super().__init__(oracle, k, epsilon)
@@ -149,6 +150,10 @@ class FeedEveryEngine(GuessLadder):
                                               self.epsilon,
                                               (1.0 + self.epsilon) ** i)
             self.threads[i].insert(e)
+
+    def solution(self) -> frozenset:
+        return best_of(self.oracle, (self.threads[i].solution()
+                                     for i in sorted(self.threads)))
 
 
 def every_pass_lpass(history: list, h: CountedOracle, M, params,

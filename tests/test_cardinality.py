@@ -1,15 +1,20 @@
 import math
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsub import harness
 from dynsub.cardinality import (CardinalityState, GuessLadder,
                                 default_window_length)
-from dynsub.objectives import CoverageGrowingSet, random_coverage
+from dynsub.harness import RunConfig, run_stream
+from dynsub.objectives import (CoverageFunction, CoverageGrowingSet,
+                               random_coverage)
 from dynsub.oracle import (CountedOracle, DomainError, GrowingSet,
-                           InvariantError, brute_force_opt)
+                           InvariantError, best_of, brute_force_opt)
+from dynsub.streams import Stream
 from oracles import (AskTheSetEngine, FeedEveryEngine, ModularFunction,
                      Recorded, counted, spread_coverage)
 
@@ -232,14 +237,17 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
 
 
 def test_ladder_query_count_pinned():
-    # engines that query every insert (QueryEveryInsert) make 15,701
+    # engines that query every insert (QueryEveryInsert) make 15,701;
+    # engines that ask every marginal, and an extraction that asks every
+    # engine's set, make 5,296
     f = random_coverage(500, 2000, 1, weighted=True)
     o = counted(f)
     lad = GuessLadder(o, 50, 0.2)
     for e in sorted(f.ground):
         lad.insert(e)
+    assert o.count == 2128
     S = lad.solution()
-    assert o.count == 5296
+    assert o.count == 2128 + 25
     assert repr(f(S)) == "278.95988989897"
 
 
@@ -320,15 +328,25 @@ def test_coverage_and_plain_growing_sets_agree(n, items, seed, k, epsilon,
         assert lad.oracle.count == plain_lad.oracle.count
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 15), items=st.integers(1, 12),
-       seed=st.integers(0, 10 ** 6), k=st.integers(1, 5),
-       epsilon=st.floats(0.1, 0.9), plain=st.booleans(), data=st.data())
+@st.composite
+def weighted_coverage(draw):
+    return random_coverage(draw(st.integers(1, 15)), draw(st.integers(1, 12)),
+                           seed=draw(st.integers(0, 10 ** 6)), weighted=True)
+
+
+def live_view(eng):
+    return (eng.solution(), repr(eng.f_of_S), eng.buckets, eng.charged)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(weighted_coverage(), spread_coverage()),
+       k=st.integers(1, 5), epsilon=st.floats(0.1, 0.9), plain=st.booleans(),
+       data=st.data())
 def test_ladder_of_live_engines_matches_feeding_every_engine(
-        n, items, seed, k, epsilon, plain, data):
-    # the reference asks each marginal as the set S | {e}; on the plain
-    # path the inner function must see exactly the sets it sees
-    f = random_coverage(n, items, seed=seed, weighted=True)
+        f, k, epsilon, plain, data):
+    # the reference feeds every engine, asks each marginal as the set
+    # S | {e} and asks every engine's set at extraction; the ladder may
+    # ask less, and on the plain path only sets the reference asks
     order = data.draw(st.permutations(sorted(f.ground)))
     inner, ref_inner = (Recorded(f), Recorded(f)) if plain else (f, f)
     lad = GuessLadder(CountedOracle(inner, f.ground), k, epsilon)
@@ -341,15 +359,130 @@ def test_ladder_of_live_engines_matches_feeding_every_engine(
         ref.insert(e)
         assert lad.threads.keys() == ref.threads.keys()
         for i, t in lad.threads.items():
-            assert engine_view(t) == engine_view(ref.threads[i])
+            assert live_view(t) == live_view(ref.threads[i])
             # a full engine is not fed, so its budget stops growing
             assert t.charged <= t.charged_budget()
             assert t.inserts <= ref.threads[i].inserts
         assert lad.solution() == ref.solution()
-        assert lad.oracle.count == ref.oracle.count
+        assert lad.oracle.count <= ref.oracle.count
     if plain:
         assert all(type(S) is frozenset for S in inner.asked)
-        assert inner.asked == ref_inner.asked
+        assert not Counter(inner.asked) - Counter(ref_inner.asked)
+
+
+def two_elements(A, w):
+    """Element 0 covers an item of weight A, element 1 one of weight w."""
+    return CoverageFunction([("a", A), ("b", w)], {0: {"a"}, 1: {"b"}})
+
+
+def fed_f_of_e(f, k, epsilon, opt_guess):
+    """An engine fed v = f({e}) and one that asks every marginal, after
+    the same inserts of 0 and then 1."""
+    eng = CardinalityState(counted(f), k, epsilon, opt_guess)
+    ref = AskTheSetEngine(counted(f), k, epsilon, opt_guess)
+    for e in (0, 1):
+        eng.insert(e, counted(f).eval({e}))
+        ref.insert(e)
+        assert live_view(eng) == live_view(ref)
+    return eng, ref
+
+
+def test_f_of_e_below_a_bound_by_an_ulp_is_asked():
+    # k=2, eps=0.25, opt=4: delta is 0.5, and S = {0} with f(S) = 1.5
+    # leaves a threshold of 0.75.  v one ulp below delta still rounds to
+    # m = fl(1.5 + v) - 1.5 = 0.5, which is bucket 1, not 0.
+    eng, ref = fed_f_of_e(two_elements(1.5, math.nextafter(0.5, 0)),
+                          2, 0.25, 4.0)
+    assert ref.solution() == {0} and ref.buckets[1] == {1}
+    assert eng.oracle.count == 1  # f({0}) came with the insert
+    # with f(S) = 2.5 the threshold is 0.25, below delta: v one ulp
+    # below it rounds to m = 0.25, and S takes it
+    eng, ref = fed_f_of_e(two_elements(2.5, math.nextafter(0.25, 0)),
+                          2, 0.25, 4.0)
+    assert ref.solution() == {0, 1}
+    # far below both bounds, f({1}) settles bucket 0 with no query
+    eng, ref = fed_f_of_e(two_elements(2.5, 0.2), 2, 0.25, 4.0)
+    assert ref.buckets[0] == {1}
+    assert eng.oracle.count == 0 and eng.charged == ref.charged == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 6), epsilon=st.floats(0.05, 0.45),
+       opt_guess=st.floats(0.5, 1e3), above=st.floats(0.0, 1.0),
+       at_delta=st.booleans(), ulps=st.integers(-6, 6))
+def test_f_of_e_within_ulps_of_a_bound_matches_asking(k, epsilon, opt_guess,
+                                                      above, at_delta, ulps):
+    delta = epsilon * opt_guess / k  # as the engine computes it
+    # element 0 is accepted into an empty S: A is at least opt/k - delta
+    A = (opt_guess / k - delta) * (1.0 + above)
+    w = delta if at_delta else (opt_guess - A) / k - delta
+    for _ in range(abs(ulps)):
+        w = math.nextafter(w, math.copysign(math.inf, ulps))
+    if w < 0:
+        return
+    fed_f_of_e(two_elements(A, w), k, epsilon, opt_guess)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(weighted_coverage(), spread_coverage()),
+       k=st.integers(1, 5), epsilon=st.floats(0.1, 0.9), data=st.data())
+def test_extraction_asks_each_changed_engine_set_once(f, k, epsilon, data):
+    inner = Recorded(f)
+    lad = GuessLadder(CountedOracle(inner, f.ground), k, epsilon)
+    probe = counted(f)
+    last = {}  # target index -> S when solution() last ran
+    for e in data.draw(st.permutations(sorted(f.ground))):
+        lad.insert(e)
+        if not data.draw(st.booleans()):
+            continue
+        order = sorted(lad.threads)
+        grown = [lad.threads[i].solution() for i in order
+                 if lad.threads[i].solution() not in (frozenset(),
+                                                      last.get(i))]
+        start = len(inner.asked)
+        S = lad.solution()
+        assert inner.asked[start:] == grown  # an empty S is never asked
+        assert S == best_of(probe, [lad.threads[i].solution()
+                                    for i in order])
+        count = lad.oracle.count
+        assert lad.solution() == S and lad.oracle.count == count
+        last = {i: lad.threads[i].solution() for i in order}
+
+
+class AuditedLadder(GuessLadder):
+    """The guess ladder, counting the queries its extractions make."""
+
+    extract = 0
+
+    def solution(self) -> frozenset:
+        before = self.oracle.count
+        S = super().solution()
+        self.extract += self.oracle.count - before
+        return S
+
+
+@pytest.mark.parametrize("seed, k, epsilon", [(0, 3, 0.25), (1, 5, 0.2),
+                                              (2, 2, 0.5), (3, 4, 0.1)])
+def test_ladder_queries_stay_under_the_ladder_ceiling(seed, k, epsilon,
+                                                      monkeypatch):
+    # per insert: f({e}) once, and at most floor(1/eps)+2 queries for each
+    # of at most window_length+1 engine inserts
+    made = []
+    monkeypatch.setitem(
+        harness._ALGORITHMS, "card-ladder",
+        lambda cfg, o, M: made.append(AuditedLadder(o, cfg.k, cfg.epsilon))
+        or made[-1])
+    f = random_coverage(60, 40, seed, weighted=True)
+    cfg = RunConfig(algo="card-ladder", k=k, epsilon=epsilon,
+                    opt_mode="greedy-bound", checkpoint="every-round")
+    records, _ = run_stream(cfg, f, Stream.inserts(sorted(f.ground)))
+    lad, = made
+    n = len(records)
+    engine_inserts = sum(t.inserts for t in lad.threads.values())
+    assert 0 < engine_inserts <= (lad.window_length + 1) * n
+    update = records[-1].q_total - lad.extract
+    assert lad.extract > 0
+    assert update <= n + (int(1.0 / epsilon) + 2) * engine_inserts
 
 
 def test_unknown_element_through_growing_set_names_it_like_eval():
