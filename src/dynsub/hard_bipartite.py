@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from dynsub.hard_tree import MAX_ELEMENTS
 from dynsub.oracle import InvariantError
 from dynsub.streams import Stream, StreamOp, INSERT, DELETE
 
@@ -115,6 +116,9 @@ class BipartiteInstance:
         self.part_alpha, self.beta, self.seed = part_alpha, beta, seed
         self.a_class = int(round(ak))  # elements per A color class
         self.b_class = int(round(bk))
+        n = m * w * (self.a_class + self.b_class)
+        if n > MAX_ELEMENTS:
+            raise ValueError(f"{n} elements exceed cap {MAX_ELEMENTS}")
         self.sym = SymGapParams.test_friendly(w, eps)
         self.gamma = self.sym.gamma
         rng = random.Random(seed)

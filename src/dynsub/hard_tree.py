@@ -22,6 +22,9 @@ from dynsub.oracle import InvariantError
 from dynsub.streams import Stream, StreamOp, INSERT, DELETE
 
 MAX_STREAM_OPS = 2_000_000  # cap on the length of a traverse stream
+# cap on the elements of a hard instance, checked before any table is
+# built; a stream inserts and deletes each element at most once
+MAX_ELEMENTS = MAX_STREAM_OPS // 2
 
 
 def weight_sequence(L: int) -> dict:
@@ -73,8 +76,6 @@ class ShuffledTreeInstance:
     """Tree of arities (m_1, ..., m_L), m_L = 1, with w = eps*k elements
     per non-root node and sparse per-parent child bijections pi."""
 
-    MAX_NODES = 200_000
-
     def __init__(self, k: int, eps: float, arities, pi=None):
         if not 0.0 < eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
@@ -101,8 +102,9 @@ class ShuffledTreeInstance:
         for m in arities:
             layer *= m
             n_nodes += layer
-        if n_nodes > self.MAX_NODES:
-            raise ValueError(f"{n_nodes} nodes exceed cap {self.MAX_NODES}")
+        if n_nodes * self.w > MAX_ELEMENTS:
+            raise ValueError(f"{n_nodes * self.w} elements exceed cap "
+                             f"{MAX_ELEMENTS}")
         self.tab = weight_sequence(self.L)
         # pi: internal node -> {child index -> permuted index}, the identity
         # where the caller gives no entry; element ids go in BFS node order.

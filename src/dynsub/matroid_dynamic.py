@@ -31,7 +31,6 @@ from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
 
 BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
 MODES = ("guided", "exhaustive")  # of MatroidHalf
-_UNASKED = object()  # reference_lpass's memo has no entry for the set
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class PruneGreedyState:
         S = self._S
         if e in S.members:
             return False
-        if not self.M.is_independent(frozenset(S.members | {e})):
+        if not self.M.is_independent(S.members | {e}):
             return False
         self.charged += 2
         m = self.h.eval(S, e) - self.h_of_S
@@ -208,28 +207,25 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     and any InvariantError, is that of a call without `prev`; only the
     number of queries differs.
 
-    h must be a function of the set: passes that build an equal
-    candidate set read its value, or its dependence in M, from what the
-    call asked first, so no set is asked of h or M twice in one call.
-    A pass asks h(base + {e}) through a growing set whose members are
-    its base (CountedOracle.growing), made when the pass first asks a
-    set the call has not.  A pass that follows one which took nothing,
-    from the same base and base value over the same walked range, would
-    read only those answers; when the best marginal that pass saw is
-    below this pass's threshold, this one takes nothing without walking.
+    h must be a function of the set.  The call keeps a memo row per
+    base, mapping e to h(base + {e}), or -inf where M refuses it; a pass
+    fetches its base's row at its first element outside the base and
+    after each accept, and asks h and M only on a miss.  Within a pass
+    no two (base, e) name one set, as the base only grows in walk
+    order; that no set is asked twice across passes is a tested
+    invariant, not an assumption.  A pass asks h(base + {e}) through a
+    growing set whose members are its base (CountedOracle.growing),
+    made at its first miss that M accepts.
     """
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None
-    asked: dict = {}  # candidate set -> h value, None where M refuses it
+    asked: dict = {}  # frozenset(base) -> {e: h(base + {e}), or -inf}
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
     a_star = []
     passes = []
-    # (base, base_val, start) of the last walk, if it took nothing, and the
-    # best marginal it saw
-    idle, best = None, math.inf
     for level in range(1, params.L + 1):
         thresh = params.threshold(level)
         # built by the adds a fresh call makes, so the sets made from it
@@ -243,33 +239,28 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
             for e, _ in S_ell:
                 base.add(e)
             start = prev.walked
-        if idle != (base, base_val, start) or best >= thresh:
-            G = None  # a growing set at the base, made for the first query
-            took, best = len(S_ell), -math.inf
-            for i in range(start, walked):
-                e = history[i]
-                if e in base:
-                    continue
-                cand = frozenset(base | {e})
-                v = asked.get(cand, _UNASKED)
-                if v is _UNASKED:
-                    v = asked[cand] = None
-                    if M.is_independent(cand):
-                        G = h.growing(base) if G is None else G
-                        v = asked[cand] = h.eval(G, e)
-                if v is None:
-                    continue
-                m = v - base_val
-                if m >= thresh:
-                    S_ell.append((e, m))
-                    if G is None:
-                        base.add(e)
-                    else:
-                        G.add(e)
-                    base_val += m
-                elif m > best:
-                    best = m
-            idle = (base, base_val, start) if took == len(S_ell) else None
+        G = row = None  # a growing set at the base, and the base's memo row
+        for i in range(start, walked):
+            e = history[i]
+            if e in base:
+                continue
+            if row is None:
+                row = asked.setdefault(frozenset(base), {})
+            v = row.get(e)
+            if v is None:
+                v = row[e] = -math.inf  # M refuses base + {e}: no pass takes e
+                if M.is_independent(base | {e}):
+                    G = h.growing(base) if G is None else G
+                    v = row[e] = h.eval(G, e)
+            m = v - base_val
+            if m >= thresh:
+                S_ell.append((e, m))
+                if G is None:
+                    base.add(e)
+                else:
+                    G.add(e)
+                base_val += m
+                row = None
         passes.append((base_val, tuple(S_ell)))
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0

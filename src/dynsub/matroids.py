@@ -75,9 +75,11 @@ class PartitionMatroid(_BaseMatroid):
                     continue
                 try:
                     tag, key, word, val = line.split()
-                    if (tag, word) == ("b", "cap"):
+                    # a second line for a block or an element is refused
+                    if (tag, word) == ("b", "cap") and key not in caps:
                         caps[key] = int(val)
-                    elif (tag, word) == ("e", "block"):
+                    elif ((tag, word) == ("e", "block")
+                          and int(key) not in blocks):
                         blocks[int(key)] = val
                     else:
                         raise ValueError

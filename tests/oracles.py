@@ -158,10 +158,11 @@ class FeedEveryEngine(GuessLadder):
 
 def every_pass_lpass(history: list, h: CountedOracle, M, params,
                      prev: LPassResult | None = None) -> LPassResult:
-    """reference_lpass as it was before passes were skipped and h was
-    asked through growing sets: every pass walks its range and asks h
-    the set base | {e} itself.  It keeps the per-call memo, so h and M
-    are asked the same sets, and resumes from `prev` the same way."""
+    """reference_lpass with a per-call memo keyed by the candidate set
+    base | {e}, not by the base, and without growing sets: every pass
+    walks its range and asks h that set itself.  Equal query counts with
+    reference_lpass show that no set is asked from two bases in a call.
+    It resumes from `prev` the same way."""
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,35 @@ def test_verify_refuses_an_out_of_range_bipartite_field(field, value, needle,
     Path(out + ".json").write_text(json.dumps(dict(desc, **{field: value})))
     capsys.readouterr()
     assert main(["verify-hard", "--instance", out + ".json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["gen-stream", "--family", "tree", "--k", "2000000000"],
+     "4000000000 elements exceed cap 1000000"),
+    (["gen-stream", "--family", "bipartite", "--m", "10000000"],
+     "80000000 elements exceed cap 1000000"),
+    ({"family": "tree", "seed": 0, "k": 2000000000, "eps": 0.5,
+      "arities": [2, 1], "d": 1, "pi": {}},
+     "4000000000 elements exceed cap 1000000"),
+    ({"family": "bipartite", "seed": 0, "m": 10000000, "k": 4, "w": 2,
+      "eps": 0.33, "part_alpha": 0.5, "beta": 0.42, "pi": {}, "slots": {}},
+     "80000000 elements exceed cap 1000000"),
+])
+def test_a_huge_hard_instance_is_refused_before_it_is_built(argv, needle,
+                                                            tmp_path, capsys):
+    # gen-stream flags, or a ten-line descriptor, that name tens of
+    # millions of elements exit 1 without building any of them
+    out = tmp_path / "huge.stream"
+    if isinstance(argv, dict):
+        out.write_text(json.dumps(argv))
+        argv = ["verify-hard", "--instance", str(out)]
+    else:
+        argv = argv + ["--out", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and needle in err
 
@@ -290,7 +320,8 @@ def test_run_ladder_takes_opt_with_opt_mode_known(capsys):
     assert "opt=5 " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line", ["b a cap x", "e y block 0", "e 0 blok 0"])
+@pytest.mark.parametrize("line", ["b a cap x", "e y block 0", "e 0 blok 0",
+                                  "b 0 cap 5"])
 def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
     part = tmp_path / "part.matroid"
     part.write_text(f"partition\nb 0 cap 2\n{line}\n")
@@ -299,6 +330,17 @@ def test_run_names_a_bad_partition_line(tmp_path, capsys, line):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert str(part) in err and f"line 3: {line!r}" in err
+
+
+def test_run_refuses_a_second_line_for_a_partition_element(tmp_path, capsys):
+    part = tmp_path / "part.matroid"
+    part.write_text("partition\nb A cap 1\nb B cap 1\ne 0 block A\n"
+                    "e 0 block B\n")
+    assert main(HALF + ["--matroid", str(part), "--k", "2", "--epsilon", "0.3",
+                        "--opt", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert str(part) in err and "line 5: 'e 0 block B'" in err
 
 
 @pytest.mark.parametrize("text, bad", [

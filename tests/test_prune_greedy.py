@@ -491,10 +491,10 @@ def _lpass_view(res):
        kind=st.sampled_from(["coverage", "stage", "plain"]), data=st.data())
 def test_lpass_equals_the_every_pass_lpass(n, items, seed, k_eps, opt_scale,
                                            partition, kind, data):
-    # the L-pass that asks through growing sets and skips passes returns
-    # what every_pass_lpass returns and asks h and M the same number of
-    # times, after every call, fresh and resumed; a mis-scaled opt
-    # raises the same InvariantError
+    # the L-pass that asks through growing sets and keeps a memo row per
+    # base returns what every_pass_lpass returns and asks h and M the
+    # same number of times, after every call, fresh and resumed; a
+    # mis-scaled opt raises the same InvariantError
     k, eps = k_eps
     f = random_coverage(n, items, seed, weighted=True)
     ground = sorted(f.ground)
