@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 
-from dynsub.oracle import CountedOracle, InvariantError, best_of
+from dynsub.oracle import (SETTLE_MARGIN, CountedOracle, InvariantError,
+                           best_of)
 
 NEG_MARGINAL_TOL = 1e-9
-# f({e}) settles bucket 0 only this far, relative to max(f(S), f({e})),
-# below both bounds: m is a difference of floats, and f(S) a sum of them
-SETTLE_MARGIN = 1e-9
 
 
 class CardinalityState:

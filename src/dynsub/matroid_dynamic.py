@@ -26,8 +26,9 @@ from itertools import islice
 from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import (multilinear_exact, multilinear_shifts,
                                plus_direction)
-from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
-                           InvariantError, best_of, brute_force_opt)
+from dynsub.oracle import (SETTLE_MARGIN, CountedOracle,
+                           EnumerationBudgetError, InvariantError, best_of,
+                           brute_force_opt)
 
 BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
 MODES = ("guided", "exhaustive")  # of MatroidHalf
@@ -207,20 +208,21 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     and any InvariantError, is that of a call without `prev`; only the
     number of queries differs.
 
-    h must be a function of the set.  The call keeps a memo row per
-    base, mapping e to h(base + {e}), or -inf where M refuses it; a pass
-    fetches its base's row at its first element outside the base and
-    after each accept, and asks h and M only on a miss.  Within a pass
-    no two (base, e) name one set, as the base only grows in walk
-    order; that no set is asked twice across passes is a tested
+    h must be monotone submodular.  The call keeps each e's answers,
+    h(B + {e}) per base B, or -inf where M refuses B + {e}, and reuses
+    one over the base itself; one over a subset B of it settles e when
+    the marginal over B plus SETTLE_MARGIN * (h(B + {e}) + h(base)) is
+    below the threshold (the lazy greedy of Minoux, within one call).
+    Within a pass no two (base, e) name one set, as the base only grows
+    in walk order; that no set is asked twice across passes is a tested
     invariant, not an assumption.  A pass asks h(base + {e}) through a
     growing set whose members are its base (CountedOracle.growing),
-    made at its first miss that M accepts.
+    made at its first ask that M accepts.
     """
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None
-    asked: dict = {}  # frozenset(base) -> {e: h(base + {e}), or -inf}
+    asked: dict = {}  # e -> ((frozenset(B), h(B + {e}), bound), ...)
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
@@ -239,19 +241,29 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
             for e, _ in S_ell:
                 base.add(e)
             start = prev.walked
-        G = row = None  # a growing set at the base, and the base's memo row
+        G = key = None  # a growing set at the base, and frozenset(base)
+        lim = thresh - SETTLE_MARGIN * base_val  # a bound below it settles e
         for i in range(start, walked):
             e = history[i]
             if e in base:
                 continue
-            if row is None:
-                row = asked.setdefault(frozenset(base), {})
-            v = row.get(e)
-            if v is None:
-                v = row[e] = -math.inf  # M refuses base + {e}: no pass takes e
+            answers = asked.get(e, ())
+            for B, v, bound in answers:
+                # newest first; over B <= base, e gains at most what it
+                # gains over B, and M refuses base + {e} if it refuses B + {e}
+                if bound < lim and B <= base:
+                    v = -math.inf
+                    break
+                if B == base:
+                    break
+            else:
+                v = -math.inf  # M refuses base + {e}: no pass takes e
                 if M.is_independent(base | {e}):
                     G = h.growing(base) if G is None else G
-                    v = row[e] = h.eval(G, e)
+                    v = h.eval(G, e)
+                key = frozenset(base) if key is None else key
+                asked[e] = ((key, v, v - base_val + SETTLE_MARGIN * v),
+                            *answers)
             m = v - base_val
             if m >= thresh:
                 S_ell.append((e, m))
@@ -260,7 +272,8 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
                 else:
                     G.add(e)
                 base_val += m
-                row = None
+                lim = thresh - SETTLE_MARGIN * base_val
+                key = None
         passes.append((base_val, tuple(S_ell)))
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0

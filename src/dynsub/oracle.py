@@ -27,6 +27,10 @@ class InvariantError(RuntimeError):
 
 
 _ALONE = object()  # eval's `plus` when S is asked alone
+# a marginal settles a test with no query only this far, relative to the
+# values it is computed from, below the bound: m is a difference of
+# floats, and a set's value a sum of them
+SETTLE_MARGIN = 1e-9
 
 
 class CountedOracle:

@@ -4,8 +4,8 @@ Most are a literal or sampled restatement of something the library
 computes another way (the bipartite factorization, the tree expectation,
 the submodularity of an objective), or a closed form the paper states.
 The rest are test conveniences: a counted oracle over a whole ground
-set, a modular objective, and writers and readers of the file formats
-the CLI reads and writes.
+set, a modular objective, a small shuffled-tree objective, and writers
+and readers of the file formats the CLI reads and writes.
 
 Test modules import it by name, `from oracles import ...`: pytest puts
 this directory on sys.path.
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from dynsub.cardinality import NEG_MARGINAL_TOL, CardinalityState, GuessLadder
 from dynsub.hard_bipartite import _g_block, fhat
+from dynsub.hard_tree import ShuffledTreeInstance, random_tree_pi, tree_F_eval
 from dynsub.harness import RoundRecord
 from dynsub.matroid_dynamic import LPassResult
 from dynsub.objectives import CoverageFunction
@@ -44,6 +45,20 @@ def spread_coverage(draw):
     covers = {e: draw(st.sets(st.sampled_from(items), min_size=1,
                               max_size=5)) for e in range(n)}
     return CoverageFunction(list(zip(items, SPREAD_WEIGHTS)), covers)
+
+
+_TREE_SHAPES = [(4, (2, 1)), (2, (3, 1)), (4, (3, 1))]  # (k, arities)
+
+
+def small_tree(seed: int):
+    """tree_F_eval over a seeded ShuffledTreeInstance of 6 to 12
+    elements at eps 0.5, as a function with a `ground`."""
+    k, arities = _TREE_SHAPES[seed % len(_TREE_SHAPES)]
+    inst = ShuffledTreeInstance(k=k, eps=0.5, arities=arities,
+                                pi=random_tree_pi(arities, seed))
+    f = lambda S: tree_F_eval(inst, S)  # noqa: E731
+    f.ground = inst.ground
+    return f
 
 
 def counted(f) -> CountedOracle:
@@ -159,10 +174,12 @@ class FeedEveryEngine(GuessLadder):
 def every_pass_lpass(history: list, h: CountedOracle, M, params,
                      prev: LPassResult | None = None) -> LPassResult:
     """reference_lpass with a per-call memo keyed by the candidate set
-    base | {e}, not by the base, and without growing sets: every pass
-    walks its range and asks h that set itself.  Equal query counts with
-    reference_lpass show that no set is asked from two bases in a call.
-    It resumes from `prev` the same way."""
+    base | {e}, without growing sets and without the lazy bound: every
+    pass walks its range and asks h and M each set it has not asked
+    yet, whatever an answer over a smaller base says.  It resumes from
+    `prev` the same way.  That reference_lpass asks no set twice in a
+    call is test_lpass_asks_each_set_once_per_call's check, not this
+    oracle's."""
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None

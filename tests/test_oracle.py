@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynsub import hard_tree
 from dynsub.hard_bipartite import BipartiteInstance, bipartite_eval
 from dynsub.oracle import (CountedOracle, DomainError, EnumerationBudgetError,
                            InvariantError, brute_force_opt)
 from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.matroids import PartitionMatroid, UniformMatroid
 from oracles import (ModularFunction, check_submodular_monotone, counted,
-                     plain_cardinality_opt)
+                     plain_cardinality_opt, small_tree)
 
 
 def recording(f, ground):
@@ -134,13 +133,7 @@ def _cardinality_objective(objective, rng, seed):
         f.ground = inst.ground
         return f
     if objective == "tree":
-        k, arities = _TREE_SHAPES[seed % len(_TREE_SHAPES)]
-        inst = hard_tree.ShuffledTreeInstance(
-            k=k, eps=0.5, arities=arities,
-            pi=hard_tree.random_tree_pi(arities, seed))
-        f = lambda S, inst=inst: hard_tree.tree_F_eval(inst, S)  # noqa: E731
-        f.ground = inst.ground
-        return f
+        return small_tree(seed)
     if objective == "weighted":
         return random_coverage(rng.randint(1, 10), rng.randint(1, 12), seed,
                                weighted=True)
@@ -340,9 +333,6 @@ def _best_by_enumeration(f, M, ground):
     return min(((-o.eval(S), sorted(S)) for S in independent_sets(M, ground)))
 
 
-_TREE_SHAPES = [(4, (2, 1)), (2, (3, 1)), (4, (3, 1))]
-
-
 @settings(max_examples=80, deadline=None)
 @given(objective=st.sampled_from(["coverage", "modular", "tree"]),
        matroid=st.sampled_from(["uniform", "partition", "all-0"]),
@@ -351,12 +341,7 @@ def test_pruned_walk_matches_a_filtered_enumeration(objective, matroid, seed,
                                                     data):
     rng = random.Random(seed)
     if objective == "tree":
-        k, arities = _TREE_SHAPES[seed % len(_TREE_SHAPES)]
-        inst = hard_tree.ShuffledTreeInstance(
-            k=k, eps=0.5, arities=arities,
-            pi=hard_tree.random_tree_pi(arities, seed))
-        f = lambda S, inst=inst: hard_tree.tree_F_eval(inst, S)  # noqa: E731
-        f.ground = inst.ground
+        f = small_tree(seed)
     elif objective == "coverage":
         f = random_coverage(rng.randint(1, 10), rng.randint(1, 12), seed,
                             weighted=True)
