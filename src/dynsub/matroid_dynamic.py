@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import (multilinear_exact, multilinear_shifts,
@@ -86,14 +85,18 @@ def enumerate_branches(L: int, R: int):
 class PruneGreedyState:
     """One branch of the pruned threshold greedy, resumable per insert.
 
-    Accepts an element at the active level ell* when it is feasible and
-    its h-marginal clears the level threshold; acceptance spends the
-    level budget.  When a budget runs out the state advances to the
-    next funded level and rescans the elements it has taken.  It takes
-    them in order from `history`, a list its owner only appends to, when
-    feed() is called; `fed` counts them.  S is the `members` of a growing
-    set of h (CountedOracle.growing), and each marginal is one counted
-    query h(S + {e}) through it, `h.eval(G, e)`.
+    One walk over `history`, a list its owner only appends to: the
+    active level ell* tests history[pos] and moves pos on.  It accepts
+    an element that is feasible and whose h-marginal clears the level
+    threshold; acceptance spends the level budget.  When a budget runs
+    out the walk moves to the next funded level with pos = 0, so that
+    level tests the elements taken so far before it takes new ones.
+    feed() walks to the end of the history; `fed` counts the elements
+    any level has reached.  S is the `members` of a growing set of h
+    (CountedOracle.growing), and each marginal is one counted query
+    h(S + {e}) through it, `h.eval(G, e)`.  `_log` holds (i, m,
+    charged) per accept, flat: history[i] was taken with marginal m,
+    `charged` counted after it.
     """
 
     def __init__(self, h: CountedOracle, M, params: BranchParams, a,
@@ -108,59 +111,81 @@ class PruneGreedyState:
         self.params = params
         self.a = a
         self.c = [v * params.delta for v in a]
-        self.ell = next((i + 1 for i, b in enumerate(self.c) if b > 0.0), None)
+        self.ell = _next_funded(self.c, 0)
         self._S = h.growing()
         self.h_of_S = 0.0
         self.history = history
+        self.pos = 0
         self.fed = 0
         self.terminated = self.ell is None  # no funded level at all
         self.charged = 0
+        self._log = ()
 
-    def _try_accept(self, e) -> bool:
-        """Test e at the active level; returns True if the level budget
-        was newly exhausted."""
-        S = self._S
-        if e in S.members:
-            return False
-        if not self.M.is_independent(S.members | {e}):
-            return False
-        self.charged += 2
-        m = self.h.eval(S, e) - self.h_of_S
-        if m < self.params.threshold(self.ell):
-            return False
-        S.add(e)
+    def _accept(self, i: int, m: float) -> bool:
+        """Takes history[i] with marginal m at the active level; returns
+        True if that exhausts the level budget, and then moves to the
+        next funded level, or terminates."""
+        self._S.add(self.history[i])
         self.h_of_S += m
         self.c[self.ell - 1] -= m
-        return self.c[self.ell - 1] <= 0.0
-
-    def _revoke(self) -> None:
-        while True:
-            nxt = next((i + 1 for i in range(self.ell, self.params.L)
-                        if self.c[i] > 0.0), None)
-            if nxt is None:
-                self.terminated = True
-                return
-            self.ell = nxt
-            if not any(map(self._try_accept, islice(self.history, self.fed))):
-                return
+        self._log += (i, m, self.charged)
+        if self.c[self.ell - 1] > 0.0:
+            return False
+        nxt = _next_funded(self.c, self.ell)
+        self.terminated = nxt is None
+        if nxt is not None:
+            self.ell, self.pos = nxt, 0
+        return True
 
     def feed(self) -> None:
-        """Takes the elements of the history not taken yet, up to the
-        one that terminates the branch."""
-        while not self.terminated and self.fed < len(self.history):
-            e = self.history[self.fed]
-            self.fed += 1
-            if self._try_accept(e):
-                self._revoke()
+        """Walks the history to its end, or to the element that
+        terminates the branch."""
+        S, history = self._S, self.history
+        while not self.terminated and self.pos < len(history):
+            i = self.pos
+            self.pos = i + 1
+            self.fed = max(self.fed, self.pos)
+            e = history[i]
+            if e in S.members or not self.M.is_independent(S.members | {e}):
+                continue
+            self.charged += 2
+            m = self.h.eval(S, e) - self.h_of_S
+            if m >= self.params.threshold(self.ell):
+                self._accept(i, m)
+
+    def _rewind(self, old: "PruneGreedyState") -> None:
+        """Takes the accepts of `old`, a state over the same history at
+        another tuple, with no query, while this tuple makes the same
+        moves: the same active level, the same exhaustion and the same
+        next funded level.  The tests between two accepts depend only on
+        S and the level, so they are old's too.  Old's levels are
+        replayed from old.a and the logged marginals."""
+        c_old = [v * self.params.delta for v in old.a]
+        if _next_funded(c_old, 0) != self.ell:
+            return
+        log = old._log
+        for k in range(0, len(log), 3):
+            i, m, self.charged = log[k:k + 3]
+            ell = self.ell
+            self.pos = i + 1
+            self.fed = max(self.fed, self.pos)
+            c_old[ell - 1] -= m
+            old_done = c_old[ell - 1] <= 0.0
+            if self._accept(i, m) != old_done:
+                return
+            if old_done and _next_funded(c_old, ell) != (
+                    None if self.terminated else self.ell):
+                return
+        self.pos, self.fed, self.charged = old.pos, old.fed, old.charged
 
     def solution(self) -> frozenset:
         return frozenset(self._S.members)
 
     def check_budget_semantics(self) -> None:
         """The level invariants, and the per-branch query ceiling
-        4*L*inserts + 2: an insert tests its element once and each of
-        fewer than L level advances rescans the history, at 2 charged
-        queries a test."""
+        4*L*inserts + 2: each of at most L levels tests each of the `fed`
+        elements at most once, at 2 charged queries a test, so the walk
+        charges at most 2*L*inserts."""
         ceiling = 4 * self.params.L * self.fed + 2
         if self.charged > ceiling:
             raise InvariantError(f"charged {self.charged} queries, over the "
@@ -174,6 +199,11 @@ class PruneGreedyState:
                 raise InvariantError("active level has no budget")
             if any(b > 0.0 for b in self.c[:self.ell - 1]):
                 raise InvariantError("level below active still funded")
+
+
+def _next_funded(c: list, ell: int) -> int | None:
+    """The first level above `ell` whose budget in `c` is positive."""
+    return next((i + 1 for i in range(ell, len(c)) if c[i] > 0.0), None)
 
 
 @dataclass
@@ -306,13 +336,20 @@ def run_prune_greedy(history: list, h: CountedOracle, M, params: BranchParams,
 
     `prev`, a state an earlier call returned over this same list, which
     has only grown since, is fed the new elements in place and returned
-    when its branch tuple is `a`; a terminated one takes none.  Any
-    other `prev` is ignored.  After a call that raised, pass a state
-    from before it or None.
+    when its branch tuple is `a`; a terminated one takes none.  At
+    another tuple, the new state rewinds `prev` (PruneGreedyState._rewind):
+    it copies prev's accepts up to the first move the two tuples make
+    differently, with no query, and queries only from there; `prev` is
+    not changed.  A `prev` over another list is ignored.  After a call
+    that raised, pass a state from before it or None.
     """
+    if prev is not None and prev.history is not history:
+        prev = None
     state = prev
-    if prev is None or prev.history is not history or prev.a != tuple(a):
+    if prev is None or prev.a != tuple(a):
         state = PruneGreedyState(h, M, params, a, history)
+        if prev is not None:
+            state._rewind(prev)
     state.feed()
     return state
 
@@ -325,11 +362,13 @@ class MatroidHalf:
     reference L-pass certifies for the history.  Each solution()
     resumes both from the previous one: the history only grows, so the
     L-pass walks only the new elements until some a*_ell changes, and
-    the pruned greedy is fed only the new elements until a* changes.
-    insert makes no query.  Exhaustive mode keeps one pruned-greedy
-    state per branch tuple and reports the best by value.  `history` is
-    the only list of the stream the runner keeps: each branch and
-    L-pass reads it and counts how far.
+    the pruned greedy is fed only the new elements until a* changes;
+    then the new replay rewinds the old one to the last accept both
+    tuples make alike and queries from there.  insert makes no query.
+    Exhaustive mode keeps one pruned-greedy state per branch tuple and
+    reports the best by value.  `history` is the only list of the
+    stream the runner keeps: each branch and L-pass reads it and counts
+    how far.
     """
 
     def __init__(self, oracle: CountedOracle, M, params: BranchParams,
