@@ -97,10 +97,24 @@ class PruneGreedyState:
     h(S + {e}) through it, `h.eval(G, e)`.  `_log` holds (i, m,
     charged) per accept, flat: history[i] was taken with marginal m,
     `charged` counted after it.
+
+    `asked`, a table of answers of the shape reference_lpass keeps (see
+    `_known`), files each h(S + {e}) the walk asks.  A later test of e
+    takes the value of an answer over S itself, or rejects e with no h
+    query where an answer over a subset of S settles it: a level that
+    walks again from position 0 meets elements an earlier level asked
+    over a smaller S.  M is asked first, so the table holds no refusal,
+    and `charged` stays the paper's count: 2 per test that M accepts,
+    asked or settled.  A state built without a table, as exhaustive
+    mode builds its states, asks every marginal.
     """
 
+    # class defaults, so a state without a table stores neither
+    asked: dict | None = None
+    _key = None  # frozenset(S) as the table last filed an answer over it
+
     def __init__(self, h: CountedOracle, M, params: BranchParams, a,
-                 history: list):
+                 history: list, asked: dict | None = None):
         a = tuple(int(v) for v in a)
         if len(a) != params.L or any(v < 0 for v in a):
             raise ValueError("branch tuple must be L non-negative integers")
@@ -120,6 +134,8 @@ class PruneGreedyState:
         self.terminated = self.ell is None  # no funded level at all
         self.charged = 0
         self._log = ()
+        if asked is not None:
+            self.asked = asked
 
     def _accept(self, i: int, m: float) -> bool:
         """Takes history[i] with marginal m at the active level; returns
@@ -149,8 +165,19 @@ class PruneGreedyState:
             if e in S.members or not self.M.is_independent(S.members | {e}):
                 continue
             self.charged += 2
-            m = self.h.eval(S, e) - self.h_of_S
-            if m >= self.params.threshold(self.ell):
+            thresh = self.params.threshold(self.ell)
+            asked = self.asked
+            v = _known(() if asked is None else asked.get(e, ()), S.members,
+                       thresh - SETTLE_MARGIN * self.h_of_S)
+            if v is None:
+                v = self.h.eval(S, e)
+                if asked is not None:
+                    # S only grows, so a key of S's size is S
+                    if self._key is None or len(self._key) != len(S.members):
+                        self._key = frozenset(S.members)
+                    _file(asked, e, self._key, v, self.h_of_S)
+            m = v - self.h_of_S
+            if m >= thresh:
                 self._accept(i, m)
 
     def _rewind(self, old: "PruneGreedyState") -> None:
@@ -206,11 +233,34 @@ def _next_funded(c: list, ell: int) -> int | None:
     return next((i + 1 for i in range(ell, len(c)) if c[i] > 0.0), None)
 
 
+def _known(answers: tuple, base, lim: float) -> float | None:
+    """What e's `answers` tell of h(base + {e}), or None if they cannot
+    tell.  An answer is (frozenset(B), h(B + {e}) or -inf where M refuses
+    B + {e}, bound), newest first, its bound e's marginal over B plus
+    SETTLE_MARGIN * h(B + {e}).  One over a subset B of base whose bound
+    is below `lim`, the threshold less SETTLE_MARGIN * h(base), settles
+    e: -inf.  Else one over base itself gives its value.  For h monotone
+    submodular, e gains no more over base than over B, and M refuses
+    base + {e} if it refuses B + {e}: the lazy greedy of Minoux (1978)."""
+    for B, v, bound in answers:
+        if bound < lim and B <= base:
+            return -math.inf
+        if B == base:
+            return v
+    return None
+
+
+def _file(asked: dict, e, key: frozenset, v: float, base_val: float) -> None:
+    """Files v = h(key + {e}) as e's newest answer, base_val being h(key)."""
+    asked[e] = ((key, v, v - base_val + SETTLE_MARGIN * v), *asked.get(e, ()))
+
+
 @dataclass
 class LPassResult:
     """The branch tuple `reference_lpass` certifies for the first
     `walked` elements of `history`, and what a call over more of that
-    list resumes from."""
+    list resumes from: the passes, and the table of answers, which a
+    resumed call shares and adds to."""
     a_star: tuple
     T: frozenset
     value: float  # h(T) accumulated the pruned-greedy way
@@ -218,6 +268,8 @@ class LPassResult:
     walked: int  # how many of its elements they walked
     # per pass ell: (base_val, S_ell), S_ell as ((element, marginal), ...)
     passes: tuple
+    asked: dict  # e -> its answers (see _known), shared with later calls
+    keys: tuple  # per pass, frozenset of its final base if `asked` has it
 
 
 def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
@@ -236,33 +288,40 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
     `prev`.  The passes after the first changed a*_ell walk the whole
     list again.  A `prev` over another list is ignored.  The result,
     and any InvariantError, is that of a call without `prev`; only the
-    number of queries differs.
+    number of queries differs.  prev's a_star, T, value, passes and
+    `walked` are not changed, and its table only gains valid answers.
 
     h must be monotone submodular.  The call keeps each e's answers,
-    h(B + {e}) per base B, or -inf where M refuses B + {e}, and reuses
-    one over the base itself; one over a subset B of it settles e when
-    the marginal over B plus SETTLE_MARGIN * (h(B + {e}) + h(base)) is
-    below the threshold (the lazy greedy of Minoux, within one call).
-    Within a pass no two (base, e) name one set, as the base only grows
-    in walk order; that no set is asked twice across passes is a tested
-    invariant, not an assumption.  A pass asks h(base + {e}) through a
-    growing set whose members are its base (CountedOracle.growing),
-    made at its first ask that M accepts.
+    h(B + {e}) per base B, or -inf where M refuses B + {e}, in a table
+    (see `_known`) that a call resuming from `prev` takes over, shared,
+    not copied, even where a* changes: an answer depends only on h, M
+    and the base.  One over the base itself is reused; one over a
+    subset B of it settles e when the marginal over B plus
+    SETTLE_MARGIN * (h(B + {e}) + h(base)) is below the threshold (the
+    lazy greedy of Minoux, across calls).  Each base is filed under one
+    frozenset, which `keys` hands to the next call.  Within a pass no
+    two (base, e) name one set, as the base only grows in walk order;
+    that no set is asked twice in a run is a tested invariant, not an
+    assumption.  A pass asks h(base + {e}) through a growing set whose
+    members are its base (CountedOracle.growing), made at its first ask
+    that M accepts.
     """
     walked = len(history)
     if prev is not None and prev.history is not history:
         prev = None
-    asked: dict = {}  # e -> ((frozenset(B), h(B + {e}), bound), ...)
+    asked = {} if prev is None else prev.asked  # e -> answers, see _known
     T: list[int] = []
     T_set: set = set()
     t_val = 0.0
     a_star = []
     passes = []
+    keys = []
     for level in range(1, params.L + 1):
         thresh = params.threshold(level)
         # built by the adds a fresh call makes, so the sets made from it
         # iterate in the same order and order-sensitive sums agree
         base = set(T_set)
+        G = key = None  # a growing set at the base, and frozenset(base)
         if prev is None:
             base_val, S_ell, start = t_val, [], 0
         else:
@@ -270,30 +329,20 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
             S_ell = list(S_ell)
             for e, _ in S_ell:
                 base.add(e)
-            start = prev.walked
-        G = key = None  # a growing set at the base, and frozenset(base)
+            start, key = prev.walked, prev.keys[level - 1]
         lim = thresh - SETTLE_MARGIN * base_val  # a bound below it settles e
         for i in range(start, walked):
             e = history[i]
             if e in base:
                 continue
-            answers = asked.get(e, ())
-            for B, v, bound in answers:
-                # newest first; over B <= base, e gains at most what it
-                # gains over B, and M refuses base + {e} if it refuses B + {e}
-                if bound < lim and B <= base:
-                    v = -math.inf
-                    break
-                if B == base:
-                    break
-            else:
+            v = _known(asked.get(e, ()), base, lim)
+            if v is None:
                 v = -math.inf  # M refuses base + {e}: no pass takes e
                 if M.is_independent(base | {e}):
                     G = h.growing(base) if G is None else G
                     v = h.eval(G, e)
                 key = frozenset(base) if key is None else key
-                asked[e] = ((key, v, v - base_val + SETTLE_MARGIN * v),
-                            *answers)
+                _file(asked, e, key, v, base_val)
             m = v - base_val
             if m >= thresh:
                 S_ell.append((e, m))
@@ -305,6 +354,7 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
                 lim = thresh - SETTLE_MARGIN * base_val
                 key = None
         passes.append((base_val, tuple(S_ell)))
+        keys.append(key)
         pass_val = base_val - t_val
         a_ell = int(pass_val / params.delta) if pass_val > 0 else 0
         a_star.append(a_ell)
@@ -326,7 +376,8 @@ def reference_lpass(history: list, h: CountedOracle, M, params: BranchParams,
             f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
             "opt is likely mis-scaled")
     return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val,
-                       history=history, walked=walked, passes=tuple(passes))
+                       history=history, walked=walked, passes=tuple(passes),
+                       asked=asked, keys=tuple(keys))
 
 
 def run_prune_greedy(history: list, h: CountedOracle, M, params: BranchParams,
@@ -339,15 +390,19 @@ def run_prune_greedy(history: list, h: CountedOracle, M, params: BranchParams,
     when its branch tuple is `a`; a terminated one takes none.  At
     another tuple, the new state rewinds `prev` (PruneGreedyState._rewind):
     it copies prev's accepts up to the first move the two tuples make
-    differently, with no query, and queries only from there; `prev` is
-    not changed.  A `prev` over another list is ignored.  After a call
+    differently, with no query, and queries only from there.  It shares
+    prev's table of answers, so it also takes what prev asked over its
+    S or a subset of it; prev is not changed, but for that table, which
+    only gains valid answers.  Without `prev` the state starts a table
+    of its own.  A `prev` over another list is ignored.  After a call
     that raised, pass a state from before it or None.
     """
     if prev is not None and prev.history is not history:
         prev = None
     state = prev
     if prev is None or prev.a != tuple(a):
-        state = PruneGreedyState(h, M, params, a, history)
+        state = PruneGreedyState(h, M, params, a, history,
+                                 asked={} if prev is None else prev.asked)
         if prev is not None:
             state._rewind(prev)
     state.feed()
@@ -364,7 +419,10 @@ class MatroidHalf:
     L-pass walks only the new elements until some a*_ell changes, and
     the pruned greedy is fed only the new elements until a* changes;
     then the new replay rewinds the old one to the last accept both
-    tuples make alike and queries from there.  insert makes no query.
+    tuples make alike and queries from there.  Each keeps one table of
+    answers for the whole run, L-pass and replay apart, and asks only
+    what its table neither holds nor settles (the replay still makes
+    its M tests).  insert makes no query.
     Exhaustive mode keeps one pruned-greedy state per branch tuple and
     reports the best by value.  `history` is the only list of the
     stream the runner keeps: each branch and L-pass reads it and counts

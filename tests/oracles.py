@@ -236,7 +236,8 @@ def every_pass_lpass(history: list, h: CountedOracle, M, params,
             f"branch tuple {a_star} leaves the tuple space (sum > R={params.R}); "
             "opt is likely mis-scaled")
     return LPassResult(a_star=tuple(a_star), T=frozenset(T), value=t_val,
-                       history=history, walked=walked, passes=tuple(passes))
+                       history=history, walked=walked, passes=tuple(passes),
+                       asked={}, keys=(None,) * params.L)
 
 
 def plain_cardinality_opt(f, ground, k):

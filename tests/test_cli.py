@@ -420,12 +420,13 @@ def test_run_matroid_half(tmp_path, capsys):
 def test_readme_guided_matroid_half_example_final_line(capsys):
     # the README's guided example as written: the lazy L-pass settles
     # part of what it asked before, the replay rewinds to the accepts a
-    # changed branch tuple agrees with, and the output is unchanged
+    # changed branch tuple agrees with, both keep their answers across
+    # calls, and the output is unchanged
     assert main(["run", "--algo", "matroid-half", "--oracle", "random:12:8:1",
                  "--matroid", "uniform:3", "--k", "3", "--epsilon", "0.33",
                  "--opt", "6.0", "--mode", "guided"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last == "t=12 value=6 opt=7 ratio=0.8571 q_total=32"
+    assert last == "t=12 value=6 opt=7 ratio=0.8571 q_total=25"
 
 
 def test_run_rejects_stream_ids_outside_oracle(tmp_path, capsys):

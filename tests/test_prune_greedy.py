@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynsub import matroid_dynamic
 from dynsub.matroid_dynamic import (BranchParams, InvariantError,
                                     MatroidHalf, PruneGreedyState,
                                     branch_count, enumerate_branches,
@@ -345,11 +346,14 @@ def test_resumed_lpass_and_replay_equal_a_fresh_call(n, items, seed, k_eps,
             new = len(history) - prev.walked
             assert oracle.count - before <= params.L * new
         assert ref.history is history and ref.walked == len(history)
+        assert prev is None or ref.asked is prev.asked  # shared, not copied
         assert ((ref.a_star, ref.T, repr(ref.value), ref.passes)
                 == (fresh.a_star, fresh.T, repr(fresh.value), fresh.passes))
+        prev_replay = replay
         replay = run_prune_greedy(history, oracle, M, params, ref.a_star,
                                   prev=replay)
         assert replay.history is history
+        assert prev_replay is None or replay.asked is prev_replay.asked
         assert _replay_view(replay) == _replay_view(
             run_prune_greedy(prefix, oracle, M, params, fresh.a_star))
         replay.check_budget_semantics()
@@ -437,6 +441,27 @@ def test_rewound_replay_equals_a_fresh_replay(n, items, seed, k_eps,
         if kind == "plain":  # the same frozensets, iterating alike
             assert not (Counter(tuple(S) for S in inner.asked)
                         - Counter(tuple(S) for S in fresh_inner.asked))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_settled_replay_test_is_charged_only_where_M_takes_the_set(rank):
+    # level 1 asks h({1}) = 0.1, then takes 0 at h({0}) = 3.0, which
+    # spends its budget; level 2 walks again from position 0, and the
+    # answer over {} settles 1 over S = {0} with no h query.  That test
+    # is charged 2 exactly when M accepts {0, 1}, as a state with no
+    # table, which asks h({0, 1}), charges it
+    f = ModularFunction({0: 3.0, 1: 0.1})
+    params = BranchParams(L=2, R=2, delta=2.0, opt=2.0, epsilon=0.5)
+    history, h = [1, 0], counted(f)
+    M, M_bare = UniformMatroid(rank, f.ground), UniformMatroid(rank, f.ground)
+    got = run_prune_greedy(history, h, M, params, (1, 1))
+    bare = PruneGreedyState(counted(f), M_bare, params, (1, 1), history)
+    bare.feed()
+    assert _replay_view(got) == _replay_view(bare)
+    assert (got.solution(), got.ell, got.terminated) == ({0}, 2, False)
+    assert got.charged == {1: 4, 2: 6}[rank]  # 2 for each of 1, 0, then 1
+    assert M.query_count == M_bare.query_count  # the M test is still made
+    assert (h.count, bare.h.count) == (2, {1: 2, 2: 3}[rank])
 
 
 def test_replay_rewinds_past_a_change_above_level_1():
@@ -532,8 +557,10 @@ def test_guided_solution_resumes_after_an_invariant_error(seed):
 
 
 def test_guided_every_round_queries_are_pinned():
-    # a solution every round: the resumed L-pass and rewound replay make 69
-    # queries where rerunning both over each prefix makes 943
+    # a solution every round: the resumed L-pass and rewound replay, each
+    # keeping its answers across calls, make 56 queries where rerunning
+    # both over each prefix, each keeping its answers within a call,
+    # makes 891
     f = random_coverage(30, 40, 5, weighted=True)
     order = sorted(f.ground)
     M = UniformMatroid(3, order)
@@ -547,8 +574,8 @@ def test_guided_every_round_queries_are_pinned():
         rerun = run_prune_greedy(order[:t], rerun_oracle, M, params,
                                  ref.a_star)
         assert half.solution() == rerun.solution()
-    assert half_oracle.count == 69
-    assert rerun_oracle.count == 943
+    assert half_oracle.count == 56
+    assert rerun_oracle.count == 891
 
 
 @pytest.mark.parametrize("partition", [False, True])
@@ -585,6 +612,58 @@ def test_lpass_asks_each_set_once_per_call(monkeypatch, seed, partition):
         history.append(e)
         ref, _, _ = call(history, prev=ref)
     assert ref.walked == len(order)
+
+
+@pytest.mark.parametrize("partition", [False, True])
+@pytest.mark.parametrize("kind", ["coverage", "tree"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lpass_and_replay_ask_each_set_once_per_run(monkeypatch, seed, kind,
+                                                    partition):
+    # a guided run with a solution every round: over all its calls the
+    # L-pass asks h, and M, about each set at most once, and so does the
+    # chain of replay states ask h, as each walk keeps its answers
+    if kind == "tree":
+        f = small_tree(seed)
+        order = sorted(f.ground)
+        random.Random(seed).shuffle(order)
+    else:
+        f = random_coverage(20, 15, seed, weighted=True)
+        order = sorted(f.ground)
+    if partition:
+        rng = random.Random(seed)
+        M = PartitionMatroid({e: rng.randrange(3) for e in order},
+                             {b: rng.randint(1, 2) for b in range(3)})
+    else:
+        M = UniformMatroid(3, order)
+    _, opt = brute_force_opt(counted(f), matroid=M)
+    asked = {"lpass": [], "lpass M": [], "replay": [], "replay M": []}
+    phase = []
+
+    def inner(S):
+        if phase:  # not the oracle's probe of {} as it is built
+            asked[phase[-1]].append(frozenset(S))
+        return f(S)
+
+    independent = M.is_independent
+    monkeypatch.setattr(M, "is_independent", lambda S: asked[
+        phase[-1] + " M"].append(frozenset(S)) or independent(S))
+    for name, walk in (("lpass", reference_lpass),
+                       ("replay", run_prune_greedy)):
+        def tagged(*args, _name=name, _walk=walk, **kwargs):
+            phase.append(_name)
+            try:
+                return _walk(*args, **kwargs)
+            finally:
+                phase.pop()
+        monkeypatch.setattr(matroid_dynamic, walk.__name__, tagged)
+    half = MatroidHalf(CountedOracle(inner, f.ground), M,
+                       BranchParams.standard(3, 0.33, opt))
+    for e in order:
+        half.insert(e)
+        half.solution()
+    assert asked["lpass"] and asked["replay"]
+    for sets in (asked["lpass"], asked["lpass M"], asked["replay"]):
+        assert len(set(sets)) == len(sets)
 
 
 def _lpass_view(res):
