@@ -14,6 +14,19 @@ from dynsub.oracle import (SETTLE_MARGIN, CountedOracle, InvariantError,
                            best_of)
 
 NEG_MARGINAL_TOL = 1e-9
+# cap on the bucket sets one run may hold, checked before any is built:
+# an empty set takes about 216 bytes, so the cap is about 220 MB of them
+MAX_BUCKETS = 1_000_000
+
+
+def check_bucket_count(engines: int, epsilon: float) -> None:
+    """Refuses `engines` engines of floor(1/eps)+1 buckets each when
+    their bucket sets would exceed MAX_BUCKETS."""
+    per_engine = int(1.0 / epsilon) + 1
+    if engines * per_engine > MAX_BUCKETS:
+        raise ValueError(f"{engines} engine(s) of {per_engine} buckets at "
+                         f"epsilon {epsilon} make {engines * per_engine:,} "
+                         f"bucket sets, over the cap of {MAX_BUCKETS:,}")
 
 
 class CardinalityState:
@@ -31,8 +44,8 @@ class CardinalityState:
     a negative value.  Once |S| = k, S is final: the growing set is
     dropped, and a later insert is counted in `inserts` but makes no
     query and files nothing.  A GuessLadder stops feeding an engine once
-    its S is full, so there `inserts` counts the elements the engine was
-    fed while S had room.  Query accounting uses the two-per-marginal
+    its S is full or it retires the engine, so there `inserts` counts the
+    elements the engine was fed.  Query accounting uses the two-per-marginal
     charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
     insert counted.  Each element is inserted at most once: a Stream
     refuses a repeat, and the engine keeps no set to check it again.
@@ -47,6 +60,7 @@ class CardinalityState:
         if not 0.0 < opt_guess < math.inf:
             raise ValueError(f"opt_guess must be positive and finite, "
                              f"got {opt_guess}")
+        check_bucket_count(1, epsilon)
         self.oracle = oracle
         self.k = k
         self.epsilon = epsilon
@@ -133,20 +147,37 @@ def default_window_length(k: int, epsilon: float) -> int:
 
 class GuessLadder:
     """Target-free wrapper: a moving window of fixed-target engines with
-    targets (1+eps)^i, answer taken from the best engine.  Only the
-    window's engines whose S is not full are fed: a full S is final.
-    Each insert asks f({e}) once and hands it to the engines it feeds."""
+    targets (1+eps)^i, answer taken from the best engine.
+
+    It feeds the window's engines whose S is not full (a full S is final)
+    and that its best answer has not outrun.  LB, the largest f(S) of any
+    engine, is at most OPT_t, and the engine that carries the guarantee
+    has the largest target tau* <= OPT_t, so the next target above tau*
+    is more than OPT_t >= LB.  An engine whose next target (1+eps)^(i+1)
+    is below LB is therefore never tau*, now or later, as LB and OPT_t
+    only grow: it is retired for good, and no engine is made below it
+    (the rule of Sieve-Streaming++, Kazemi, Mitrovic, Zadimoghaddam,
+    Lattanzi and Karbasi, ICML 2019).  LB is the engines' accumulated
+    f(S), fl(F + fl(f(S) - F)) at S's last accept, which is within one
+    ulp of the asked f(S): no float lies strictly between OPT_t and LB,
+    so the strict cut needs no margin.  Retired engines keep their S for
+    the pick, so outputs may differ from a ladder that feeds every
+    engine, while the guarantee holds.  Each insert asks f({e}) once and
+    hands it to the engines it feeds."""
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
+        self.window_length = default_window_length(k, epsilon)
+        check_bucket_count(self.window_length + 1, epsilon)
         self.oracle = oracle
         self.k = k
         self.epsilon = epsilon
-        self.window_length = default_window_length(k, epsilon)
         self.threads: dict[int, CardinalityState] = {}
         self.v_max = 0.0
         self.i_t: int | None = None
-        # the window's engines whose S is not full, in ascending target;
-        # empty while every singleton so far is worthless
+        self.lb = 0.0  # the largest f_of_S of any engine
+        self.lowest: int | None = None  # engines below this index are retired
+        # the window's engines that are fed, in ascending target; empty
+        # while every singleton so far is worthless
         self._live: list[CardinalityState] = []
         self._asked: dict = {}  # target index -> (|S|, f(S)) last asked
 
@@ -161,7 +192,10 @@ class GuessLadder:
                                  f"ladder's targets past the float range"
                                  ) from None
             self.v_max, self.i_t = v, i_t
-            window = range(i_t, i_t + self.window_length + 1)
+            if self.lowest is None:
+                self.lowest = i_t
+            window = range(max(i_t, self.lowest),
+                           i_t + self.window_length + 1)
             for i in window:
                 if i not in self.threads:
                     self.threads[i] = CardinalityState(
@@ -169,13 +203,23 @@ class GuessLadder:
                         (1.0 + self.epsilon) ** i)
             self._live = [self.threads[i] for i in window
                           if self.threads[i]._S is not None]
-        filled = False
+        lb = self.lb
+        changed = False
         for st in self._live:
             st.insert(e, v)  # looked up on the class, where a tracer wraps it
             if st._S is None:
-                filled = True
-        if filled:
-            self._live = [st for st in self._live if st._S is not None]
+                changed = True
+            if st.f_of_S > lb:
+                lb = st.f_of_S
+        if lb > self.lb:
+            self.lb = lb
+            while (1.0 + self.epsilon) ** (self.lowest + 1) < lb:
+                self.lowest += 1
+            changed = True
+        if changed:
+            floor = (1.0 + self.epsilon) ** self.lowest
+            self._live = [st for st in self._live
+                          if st._S is not None and st.opt_guess >= floor]
 
     def solution(self) -> frozenset:
         """Best engine solution by best_of's rule, in ascending target.

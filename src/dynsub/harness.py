@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, asdict
 from typing import ClassVar
 
-from dynsub.cardinality import CardinalityState, GuessLadder
+from dynsub.cardinality import (CardinalityState, GuessLadder,
+                                check_bucket_count, default_window_length)
 from dynsub.matroid_dynamic import (MODES, BranchParams, MatroidHalf,
                                     enumerate_branches)
 # unused here, but perfbench/tracer.py wraps these names on this module
@@ -94,6 +95,11 @@ class RunConfig:
         if self.algo != "card-ladder" and not self.opt_value:
             raise ValueError(f"algo {self.algo} needs a fixed opt_value with "
                              f"0 < opt < inf, got {self.opt_value}")
+        if self.algo == "card":
+            check_bucket_count(1, self.epsilon)
+        if self.algo == "card-ladder":
+            check_bucket_count(
+                default_window_length(self.k, self.epsilon) + 1, self.epsilon)
         if self.algo == "matroid-half":
             params = BranchParams.standard(self.k, self.epsilon, self.opt_value)
             if self.mode == "exhaustive":

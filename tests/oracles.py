@@ -146,11 +146,16 @@ class AskTheSetEngine(CardinalityState):
 class FeedEveryEngine(GuessLadder):
     """The guess ladder that feeds every engine of the window each
     insert, full or not, without f({e}), and asks every engine's set at
-    each extraction; `engine` makes the engines."""
+    each extraction; `engine` makes the engines.  With `retire` set it
+    recomputes LB, the largest f(S) over every engine, at each insert and
+    neither makes nor feeds an engine i whose next target (1+eps)^(i+1)
+    is below LB."""
 
-    def __init__(self, oracle, k, epsilon, engine=CardinalityState):
+    def __init__(self, oracle, k, epsilon, engine=CardinalityState,
+                 retire=False):
         super().__init__(oracle, k, epsilon)
         self.engine = engine
+        self.retire = retire
 
     def insert(self, e) -> None:
         v = self.oracle.eval({e})
@@ -159,7 +164,10 @@ class FeedEveryEngine(GuessLadder):
             self.i_t = math.floor(math.log(v) / math.log1p(self.epsilon))
         if self.i_t is None:
             return
+        lb = max((t.f_of_S for t in self.threads.values()), default=0.0)
         for i in range(self.i_t, self.i_t + self.window_length + 1):
+            if self.retire and (1.0 + self.epsilon) ** (i + 1) < lb:
+                continue
             if i not in self.threads:
                 self.threads[i] = self.engine(self.oracle, self.k,
                                               self.epsilon,

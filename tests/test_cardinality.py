@@ -223,7 +223,7 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
     ref = QueryEveryInsert(counted(f), k, epsilon, opt_guess)
     lad = GuessLadder(counted(f), k, epsilon)
     ref_lad = FeedEveryEngine(counted(f), k, epsilon,
-                              engine=QueryEveryInsert)
+                              engine=QueryEveryInsert, retire=True)
     for e in order:
         eng.insert(e)
         ref.insert(e)
@@ -239,15 +239,16 @@ def test_full_engine_skip_keeps_every_solution(n, items, seed, k, epsilon,
 def test_ladder_query_count_pinned():
     # engines that query every insert (QueryEveryInsert) make 15,701;
     # engines that ask every marginal, and an extraction that asks every
-    # engine's set, make 5,296
+    # engine's set, make 5,296; feeding every engine that is not full
+    # makes 2,128 update queries
     f = random_coverage(500, 2000, 1, weighted=True)
     o = counted(f)
     lad = GuessLadder(o, 50, 0.2)
     for e in sorted(f.ground):
         lad.insert(e)
-    assert o.count == 2128
+    assert o.count == 1523
     S = lad.solution()
-    assert o.count == 2128 + 25
+    assert o.count == 1523 + 25
     assert repr(f(S)) == "278.95988989897"
 
 
@@ -344,19 +345,23 @@ def live_view(eng):
        data=st.data())
 def test_ladder_of_live_engines_matches_feeding_every_engine(
         f, k, epsilon, plain, data):
-    # the reference feeds every engine, asks each marginal as the set
-    # S | {e} and asks every engine's set at extraction; the ladder may
-    # ask less, and on the plain path only sets the reference asks
+    # the reference feeds every engine it has not retired, asks each
+    # marginal as the set S | {e} and asks every engine's set at
+    # extraction; the ladder may ask less, and on the plain path only
+    # sets the reference asks.  A reference that retires nothing asks
+    # at least as many queries.
     order = data.draw(st.permutations(sorted(f.ground)))
     inner, ref_inner = (Recorded(f), Recorded(f)) if plain else (f, f)
     lad = GuessLadder(CountedOracle(inner, f.ground), k, epsilon)
     ref = FeedEveryEngine(CountedOracle(ref_inner, f.ground), k, epsilon,
-                          engine=AskTheSetEngine)
+                          engine=AskTheSetEngine, retire=True)
+    every = FeedEveryEngine(counted(f), k, epsilon, engine=AskTheSetEngine)
     assert type(lad.oracle.growing()) is (GrowingSet if plain
                                           else CoverageGrowingSet)
     for e in order:
         lad.insert(e)
         ref.insert(e)
+        every.insert(e)
         assert lad.threads.keys() == ref.threads.keys()
         for i, t in lad.threads.items():
             assert live_view(t) == live_view(ref.threads[i])
@@ -364,7 +369,8 @@ def test_ladder_of_live_engines_matches_feeding_every_engine(
             assert t.charged <= t.charged_budget()
             assert t.inserts <= ref.threads[i].inserts
         assert lad.solution() == ref.solution()
-        assert lad.oracle.count <= ref.oracle.count
+        every.solution()
+        assert lad.oracle.count <= ref.oracle.count <= every.oracle.count
     if plain:
         assert all(type(S) is frozenset for S in inner.asked)
         assert not Counter(inner.asked) - Counter(ref_inner.asked)
@@ -516,3 +522,93 @@ def test_full_engine_makes_no_query_and_drops_its_growing_set():
         eng.insert(e)
     assert eng.oracle.count == count
     assert eng._S is None and eng.solution() == {0, 1}
+
+
+def tau_star(opt, epsilon) -> int:
+    """The index of the largest target (1+eps)^i at or below opt > 0."""
+    i = math.floor(math.log(opt) / math.log1p(epsilon))
+    while (1.0 + epsilon) ** (i + 1) <= opt:
+        i += 1
+    while (1.0 + epsilon) ** i > opt:
+        i -= 1
+    return i
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=weighted_coverage(), k=st.integers(1, 4),
+       epsilon=st.floats(0.05, 0.5), data=st.data())
+def test_ladder_never_retires_the_engine_that_carries_the_guarantee(
+        f, k, epsilon, data):
+    # after every insert, the engine with the largest target at or below
+    # the brute-forced OPT_t is at or above the lowest index still fed,
+    # and the answer keeps the (1-1/e-2eps) bound of criterion 3
+    order = data.draw(st.permutations(sorted(f.ground)))
+    lad = GuessLadder(counted(f), k, epsilon)
+    for t, e in enumerate(order, start=1):
+        lad.insert(e)
+        _, opt = brute_force_opt(counted(f), ground=order[:t], k=k)
+        if opt <= 0:
+            continue
+        # LB is within one ulp of an f(S) <= OPT_t, so no target lies
+        # strictly between OPT_t and LB: the strict cut needs no margin
+        assert lad.lb <= math.nextafter(opt, math.inf)
+        assert tau_star(opt, epsilon) >= lad.lowest
+        assert f(lad.solution()) >= (1 - 1 / math.e - 2 * epsilon) * opt - 1e-9
+
+
+def test_an_lb_one_ulp_above_opt_on_the_next_target_retires_nothing():
+    # S takes 0, 1 and 2 in turn; the accumulated f(S) rounds one ulp
+    # above f({0, 1, 2}) = OPT, onto the target 1.5^3 just above it.  The
+    # engine of target 1.5^2 carries the guarantee, and a cut at
+    # "next target <= LB" would retire it.
+    f = CoverageFunction([(0, 0.338), (1, 0.841),
+                          (2, math.nextafter(2.196, 0))],
+                         {e: {e} for e in range(3)})
+    lad = GuessLadder(counted(f), 3, 0.5)
+    ref = FeedEveryEngine(counted(f), 3, 0.5, retire=True)
+    for e in range(3):
+        lad.insert(e)
+        ref.insert(e)
+    _, opt = brute_force_opt(counted(f), k=3)
+    assert repr(opt) == "3.3749999999999996"
+    assert lad.lb == 1.5 ** 3 == math.nextafter(opt, math.inf)
+    assert tau_star(opt, 0.5) == lad.lowest == 2
+    assert lad.threads.keys() == ref.threads.keys()
+    assert lad.solution() == ref.solution() == {0, 1, 2}
+
+
+def test_retiring_ladder_may_pick_a_smaller_set_of_the_same_value():
+    # element 2 adds nothing to {0, 1}.  The ladder has retired its two
+    # lowest engines by then, so they keep {0, 1}; a ladder feeding every
+    # engine lets them take 2.  The pick is the lowest engine of the best
+    # value, so the answers differ, both worth OPT.
+    f = random_coverage(3, 2, seed=2, weighted=True)
+    lad = GuessLadder(counted(f), 3, 0.5)
+    every = FeedEveryEngine(counted(f), 3, 0.5)
+    for e in (0, 1, 2):
+        lad.insert(e)
+        every.insert(e)
+    S, ref_S = lad.solution(), every.solution()
+    assert (S, ref_S) == ({0, 1}, {0, 1, 2})
+    _, opt = brute_force_opt(counted(f), k=3)
+    assert repr(f(S)) == repr(f(ref_S)) == repr(opt) == "3.8557926384228978"
+
+
+def test_a_run_whose_buckets_exceed_the_cap_is_refused_before_any_is_built():
+    # the ladder's (window_length+1)*(floor(1/eps)+1) buckets and the
+    # engine's floor(1/eps)+1, each just over MAX_BUCKETS
+    f = random_coverage(20, 12, 0, weighted=True)
+    assert (default_window_length(3, 0.0026) + 1) * 385 == 1_044_890
+    with pytest.raises(ValueError, match="1,044,890 bucket sets"):
+        GuessLadder(counted(f), 3, 0.0026)
+    with pytest.raises(ValueError, match="1,000,001 bucket sets"):
+        CardinalityState(counted(f), 3, 1e-6, 5.0)
+    # just under the cap, a ladder is made; it builds no engine until
+    # its first insert
+    assert (default_window_length(3, 0.0027) + 1) * 371 == 964_600
+    assert not GuessLadder(counted(f), 3, 0.0027).threads
+    for algo, epsilon in (("card-ladder", 0.0026), ("card", 1e-6)):
+        cfg = RunConfig(algo=algo, k=3, epsilon=epsilon, opt_value=5.0,
+                        opt_mode="known")
+        with pytest.raises(ValueError, match="bucket sets, over the cap"):
+            cfg.check_inputs(Stream.inserts(sorted(f.ground)))

@@ -255,6 +255,13 @@ HALF = ["run", "--algo", "matroid-half", "--oracle", "random:6:5:0"]
      "bad oracle spec 'random:0:5:0': n_elements must be >= 1"),
     (RUN + ["--oracle", "random:4:0:0", "--k", "2", "--epsilon", "0.5"],
      "bad oracle spec 'random:4:0:0': n_items must be >= 1"),
+    # just over cardinality.MAX_BUCKETS: the ladder's first insert would
+    # build 2,714 engines of 385 buckets, the engine 1,000,001 buckets
+    (RUN + ["--k", "3", "--epsilon", "0.0026"],
+     "2714 engine(s) of 385 buckets at epsilon 0.0026 make 1,044,890 "
+     "bucket sets, over the cap of 1,000,000"),
+    (["run", "--algo", "card", "--oracle", "random:6:5:0", "--k", "2",
+      "--epsilon", "1e-6", "--opt", "5"], "make 1,000,001 bucket sets"),
 ])
 def test_bad_run_parameters_exit_1(argv, needle, capsys):
     # refused before any run starts
@@ -276,6 +283,8 @@ HALF_BENCH = ["bench", "--algo", "matroid-half", "--oracle", "random:6:5:0",
     (["bench", "--algo", "card", "--oracle", "random:6:5:0", "--k", "2",
       "--epsilon", "0.5", "--sweep", "opt=5,0"], "0 < opt < inf"),
     (HALF_BENCH + ["--sweep", "opt=5,0"], "0 < opt < inf"),
+    (BENCH + ["--k", "3", "--sweep", "epsilon=0.5,0.0026"],
+     "make 1,044,890 bucket sets"),
 ])
 def test_bench_refuses_an_algorithm_input_before_the_first_run(argv, needle,
                                                                capsys):
