@@ -29,6 +29,13 @@ def check_bucket_count(engines: int, epsilon: float) -> None:
                          f"bucket sets, over the cap of {MAX_BUCKETS:,}")
 
 
+def check_k_epsilon(k: int, epsilon: float) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+
+
 class CardinalityState:
     """Fixed-target engine: maintains S with f(S) >= (1-1/e-eps)*target
     once the stream's true optimum reaches the target.
@@ -41,22 +48,27 @@ class CardinalityState:
     when v plus a margin scaled to max(f(S), v) is below both delta and
     the threshold, as m <= v files e in bucket 0: both rules need f
     monotone submodular, and a settled m is charged but not checked for
-    a negative value.  Once |S| = k, S is final: the growing set is
-    dropped, and a later insert is counted in `inserts` but makes no
-    query and files nothing.  A GuessLadder stops feeding an engine once
-    its S is full or it retires the engine, so there `inserts` counts the
-    elements the engine was fed.  Query accounting uses the two-per-marginal
-    charging convention; `charged` never exceeds 2*(floor(1/eps)+2) per
-    insert counted.  Each element is inserted at most once: a Stream
-    refuses a repeat, and the engine keeps no set to check it again.
+    a negative value.  A GuessLadder passes `answers`, a table of the
+    f(S + {x}) asked in one insert, which the engines fed that insert
+    share: engines whose S is equal as a set ask f(S + {e}) once, and
+    each takes its own marginal, threshold, bucket and negative-marginal
+    check from the shared answer, still charged as two.  That assumes f
+    is a set function, so equal sets get one answer, as the coverage
+    sums (math.fsum) and the hard objectives (keyed by sorted ids) do.
+    An engine fed alone gets no table.  Once |S| = k, S is final: the
+    growing set is dropped, and a later insert is counted in `inserts`
+    but makes no query and files nothing.  A GuessLadder stops feeding
+    an engine once its S is full or it retires the engine, so there
+    `inserts` counts the elements the engine was fed.  Query accounting
+    uses the two-per-marginal charging convention; `charged` never
+    exceeds 2*(floor(1/eps)+2) per insert counted.  Each element is
+    inserted at most once: a Stream refuses a repeat, and the engine
+    keeps no set to check it again.
     """
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float,
                  opt_guess: float):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
+        check_k_epsilon(k, epsilon)
         if not 0.0 < opt_guess < math.inf:
             raise ValueError(f"opt_guess must be positive and finite, "
                              f"got {opt_guess}")
@@ -70,11 +82,16 @@ class CardinalityState:
         self.buckets: list[set] = [set() for _ in range(self.n_buckets)]
         self._S = oracle.growing()  # None once S is full
         self._in_S: set = self._S.members  # S itself, which outlives it
+        self._key: frozenset | None = None  # frozenset(S), built when asked
         self.f_of_S = 0.0
+        # (opt - f(S))/k - delta, and the bound below which f({e}) settles
+        self._accept_at = opt_guess / k - self.delta
+        self._settle_below = min(self.delta, self._accept_at)
         self.charged = 0
         self.inserts = 0
 
-    def insert(self, e, v: float | None = None) -> None:
+    def insert(self, e, v: float | None = None,
+               answers: dict | None = None) -> None:
         """Tests e against the threshold (opt - f(S))/k - delta, and files
         it in the bucket of its marginal if S does not take it.  Once S
         takes an element, retests bucketed elements, smallest id of the
@@ -87,24 +104,45 @@ class CardinalityState:
         if S is None:  # a full S is final
             return
         cap = self.n_buckets - 1  # the highest bucket e may be filed in
-        fresh = True
+        fresh, fed = True, e
         while True:
             # one raw eval of f(S + {e}) against the cached f(S); charged
             # as two, also where f({e}) stands in for it
             self.charged += 2
             f_of_S = self.f_of_S
-            threshold = (self.opt_guess - f_of_S) / self.k - self.delta
-            if (v is not None and self._in_S and v + SETTLE_MARGIN
-                    * max(f_of_S, v) < min(self.delta, threshold)):
+            threshold = self._accept_at
+            if (v is not None and v + SETTLE_MARGIN * (
+                    f_of_S if f_of_S > v else v) < self._settle_below
+                    and self._in_S):
                 self.buckets[0].add(e)  # m <= f({e}) = v
                 return
-            m = (self.oracle.eval(S, e) if v is None or self._in_S
-                 else v) - f_of_S
+            if v is not None and not self._in_S:
+                m = v - f_of_S
+            elif answers is None:
+                m = self.oracle.eval(S, e) - f_of_S
+            else:
+                # each set asked in one insert holds the element fed, so
+                # the table keys it by the rest: S on the fresh test, and
+                # S - {fed} + {e} on a retest, as S took fed
+                if fresh:
+                    key = self._key
+                    if key is None:
+                        key = self._key = frozenset(self._in_S)
+                else:
+                    key = frozenset(self._in_S ^ {fed, e})
+                f_plus = answers.get(key)
+                if f_plus is None:
+                    f_plus = answers[key] = self.oracle.eval(S, e)
+                m = f_plus - f_of_S
             if m < -NEG_MARGINAL_TOL:
                 raise InvariantError(f"negative marginal {m} for element {e}")
             if m >= threshold:
                 S.add(e)
-                self.f_of_S = f_of_S + m
+                self.f_of_S = f_of_S = f_of_S + m
+                self._key = None
+                self._accept_at = threshold = (
+                    (self.opt_guess - f_of_S) / self.k - self.delta)
+                self._settle_below = min(self.delta, threshold)
                 if len(self._in_S) == self.k:  # final: no query again
                     self._S = None
                     return
@@ -163,9 +201,13 @@ class GuessLadder:
     so the strict cut needs no margin.  Retired engines keep their S for
     the pick, so outputs may differ from a ladder that feeds every
     engine, while the guarantee holds.  Each insert asks f({e}) once and
-    hands it to the engines it feeds."""
+    hands it to the engines it feeds, with one answer table for the
+    insert: engines whose S is equal as a set, whatever order S was
+    taken in, ask each f(S + {x}) once, and the insert asks no set twice
+    (see CardinalityState).  Extraction does not read the table."""
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
+        check_k_epsilon(k, epsilon)
         self.window_length = default_window_length(k, epsilon)
         check_bucket_count(self.window_length + 1, epsilon)
         self.oracle = oracle
@@ -180,9 +222,10 @@ class GuessLadder:
         # while every singleton so far is worthless
         self._live: list[CardinalityState] = []
         self._asked: dict = {}  # target index -> (|S|, f(S)) last asked
+        self._empty = oracle.growing()  # never grows
 
     def insert(self, e) -> None:
-        v = self.oracle.eval({e})
+        v = self.oracle.eval(self._empty, e)  # f({e}), as f(empty + {e})
         if v > self.v_max:
             try:  # the window's top target must be a float
                 i_t = math.floor(math.log(v) / math.log1p(self.epsilon))
@@ -205,8 +248,10 @@ class GuessLadder:
                           if self.threads[i]._S is not None]
         lb = self.lb
         changed = False
+        answers: dict = {}  # frozenset(T - {e}) -> f(T), T asked here
         for st in self._live:
-            st.insert(e, v)  # looked up on the class, where a tracer wraps it
+            # looked up on the class, where a tracer wraps it
+            st.insert(e, v, answers)
             if st._S is None:
                 changed = True
             if st.f_of_S > lb:

@@ -16,7 +16,7 @@ from dynsub.oracle import (CountedOracle, DomainError, GrowingSet,
                            InvariantError, best_of, brute_force_opt)
 from dynsub.streams import Stream
 from oracles import (AskTheSetEngine, FeedEveryEngine, ModularFunction,
-                     Recorded, counted, spread_coverage)
+                     Recorded, counted, small_tree, spread_coverage)
 
 
 def test_modular_all_above_threshold():
@@ -240,15 +240,16 @@ def test_ladder_query_count_pinned():
     # engines that query every insert (QueryEveryInsert) make 15,701;
     # engines that ask every marginal, and an extraction that asks every
     # engine's set, make 5,296; feeding every engine that is not full
-    # makes 2,128 update queries
+    # makes 2,128 update queries, feeding only those not retired 1,523
+    # when each engine asks its own marginals
     f = random_coverage(500, 2000, 1, weighted=True)
     o = counted(f)
     lad = GuessLadder(o, 50, 0.2)
     for e in sorted(f.ground):
         lad.insert(e)
-    assert o.count == 1523
+    assert o.count == 1255
     S = lad.solution()
-    assert o.count == 1523 + 25
+    assert o.count == 1255 + 25
     assert repr(f(S)) == "278.95988989897"
 
 
@@ -612,3 +613,87 @@ def test_a_run_whose_buckets_exceed_the_cap_is_refused_before_any_is_built():
                         opt_mode="known")
         with pytest.raises(ValueError, match="bucket sets, over the cap"):
             cfg.check_inputs(Stream.inserts(sorted(f.ground)))
+
+
+@pytest.mark.parametrize("k, epsilon, message", [
+    (0, 0.25, "k must be >= 1"), (-1, 0.25, "k must be >= 1"),
+    (3, 0.0, r"epsilon must be in \(0, 1\)"),
+    (3, 1.0, r"epsilon must be in \(0, 1\)"),
+    (3, 1.5, r"epsilon must be in \(0, 1\)"),
+    (3, math.nan, r"epsilon must be in \(0, 1\)")])
+def test_ladder_refuses_a_bad_k_or_epsilon_as_the_engine_does(k, epsilon,
+                                                              message):
+    f = random_coverage(6, 5, seed=0, weighted=True)
+    for make in (lambda: GuessLadder(counted(f), k, epsilon),
+                 lambda: CardinalityState(counted(f), k, epsilon, 5.0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def asked_once_per_insert(lad, ref, order):
+    """Feeds `order` to the ladder and to `ref`, a FeedEveryEngine whose
+    engines each ask their own marginals, both over a Recorded f, and
+    checks after every insert that they agree engine by engine and on
+    the pick, and that the ladder asked no set twice within the insert.
+    Returns the sets each asked in the last insert."""
+    inner, ref_inner = lad.oracle._inner, ref.oracle._inner
+    for e in order:
+        start, ref_start = len(inner.asked), len(ref_inner.asked)
+        lad.insert(e)
+        ref.insert(e)
+        asked = inner.asked[start:]
+        ref_asked = ref_inner.asked[ref_start:]
+        assert len(set(asked)) == len(asked)
+        assert lad.threads.keys() == ref.threads.keys()
+        for i, t in lad.threads.items():
+            assert live_view(t) == live_view(ref.threads[i])
+        assert lad.solution() == ref.solution()
+    return asked, ref_asked
+
+
+def recorded_pair(f, k, epsilon):
+    """A ladder and a FeedEveryEngine that retires, each over its own
+    Recorded f, which takes the plain growing set: it asks the set
+    S | {e} itself."""
+    return (GuessLadder(CountedOracle(Recorded(f), f.ground), k, epsilon),
+            FeedEveryEngine(CountedOracle(Recorded(f), f.ground), k, epsilon,
+                            retire=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(weighted_coverage(), spread_coverage(),
+                   st.integers(0, 10 ** 6).map(small_tree)),
+       k=st.integers(1, 5), epsilon=st.floats(0.1, 0.9), data=st.data())
+def test_engines_with_equal_sets_share_one_answer_per_insert(f, k, epsilon,
+                                                             data):
+    # the ladder's answer table changes no engine's S, f(S), buckets or
+    # charge, nor the pick, against engines that each ask for themselves
+    lad, ref = recorded_pair(f, k, epsilon)
+    asked_once_per_insert(lad, ref, data.draw(st.permutations(
+        sorted(f.ground))))
+    assert lad.oracle.count <= ref.oracle.count
+
+
+def test_engines_that_reach_one_set_in_two_orders_share_its_answer():
+    # k=3, eps=0.5.  Insert 0 (worth 0.5): the engine of target 1.5^2 =
+    # 2.25 takes it, while that of 1.5^3 = 3.375, whose threshold is
+    # 0.5625, files it in bucket 0.  Insert 1 (2.0): the first takes 1,
+    # asking f({0, 1}); the second takes 1 on f({1}) and its retest
+    # takes 0, asking f({0, 1}) again, which the table answers.  Insert
+    # 2 (1.5): both hold {0, 1}, taken in two orders, and f({0, 1, 2})
+    # is asked once for the two.
+    f = CoverageFunction([(0, 0.5), (1, 2.0), (2, 1.5)],
+                         {e: {e} for e in range(3)})
+    lad, ref = recorded_pair(f, 3, 0.5)
+    asked_once_per_insert(lad, ref, [0])
+    first, second = lad.threads[2], lad.threads[3]
+    assert (first.opt_guess, second.opt_guess) == (2.25, 3.375)
+    assert first.solution() == {0} and second.solution() == set()
+    assert second.buckets[0] == {0}
+    asked, ref_asked = asked_once_per_insert(lad, ref, [1])
+    assert first.solution() == second.solution() == {0, 1}
+    assert asked == [{1}, {0, 1}] and ref_asked.count({0, 1}) == 3
+    asked, ref_asked = asked_once_per_insert(lad, ref, [2])
+    assert first.solution() == second.solution() == {0, 1, 2}
+    assert asked == [{2}, {0, 1, 2}, {1, 2}]
+    assert ref_asked.count({0, 1, 2}) == 2
