@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from dynsub.oracle import (SETTLE_MARGIN, CountedOracle, InvariantError,
-                           best_of)
+                           best_of_growing)
 
 NEG_MARGINAL_TOL = 1e-9
 # cap on the bucket sets one run may hold, checked before any is built:
@@ -204,7 +204,9 @@ class GuessLadder:
     hands it to the engines it feeds, with one answer table for the
     insert: engines whose S is equal as a set, whatever order S was
     taken in, ask each f(S + {x}) once, and the insert asks no set twice
-    (see CardinalityState).  Extraction does not read the table."""
+    (see CardinalityState).  Extraction does not read the table: it asks
+    each distinct S that grew since the last extraction once, however
+    many engines hold it (oracle.best_of_growing)."""
 
     def __init__(self, oracle: CountedOracle, k: int, epsilon: float):
         check_k_epsilon(k, epsilon)
@@ -267,14 +269,9 @@ class GuessLadder:
                           if st._S is not None and st.opt_guess >= floor]
 
     def solution(self) -> frozenset:
-        """Best engine solution by best_of's rule, in ascending target.
-        S only grows, so f(S) is asked once per change of |S|; an empty S
-        is worth 0.0, which the rule never picks, and is not asked."""
-        for i in sorted(self.threads):
-            S = self.threads[i]._in_S
-            if S and self._asked.get(i, (0,))[0] != len(S):
-                self._asked[i] = (len(S), self.oracle.eval(S))
-        order = sorted(self._asked)
-        return frozenset(best_of(self.oracle,
-                                 [self.threads[i]._in_S for i in order],
-                                 [self._asked[i][1] for i in order]))
+        """Best engine solution by best_of's rule, in ascending target,
+        asking only the sets of engines whose S grew since the last call,
+        each distinct set once (see best_of_growing)."""
+        return best_of_growing(self.oracle, ((i, self.threads[i]._in_S)
+                                             for i in sorted(self.threads)),
+                               self._asked)

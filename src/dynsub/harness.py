@@ -35,9 +35,10 @@ class RoundRecord:
     ratio: float
     q_round: int
     q_total: int
+    q_extract: int  # of q_round, the queries solution() made
 
     COLUMNS = ("t", "op", "ground", "value", "opt", "ratio",
-               "q_round", "q_total")
+               "q_round", "q_total", "q_extract")
 
 
 OPT_MODES = ("brute-force", "greedy-bound", "known")
@@ -244,6 +245,7 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
         algo.insert(op.element)
         if t not in checkpoints:
             continue
+        q_before = algo_oracle.count
         S = algo.solution()
         q_total = algo_oracle.count
         value = probe_oracle.eval(S)
@@ -253,7 +255,8 @@ def run_stream(cfg: RunConfig, inner, stream: Stream, matroid=None):
         ratio = value / opt if opt > 0 else (1.0 if value <= 0 else math.inf)
         records.append(RoundRecord(
             t=t, op=op.kind, ground=len(live), value=value, opt=opt,
-            ratio=ratio, q_round=q_total - q_prev, q_total=q_total))
+            ratio=ratio, q_round=q_total - q_prev, q_total=q_total,
+            q_extract=q_total - q_before))
         q_prev = q_total
     meta = asdict(cfg)
     meta["opt_is_bound"] = any_bound

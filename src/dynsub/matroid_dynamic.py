@@ -26,8 +26,8 @@ from dynsub.matroids import ConvexCombo, swap_round
 from dynsub.objectives import (multilinear_exact, multilinear_shifts,
                                plus_direction)
 from dynsub.oracle import (SETTLE_MARGIN, CountedOracle,
-                           EnumerationBudgetError, InvariantError, best_of,
-                           brute_force_opt)
+                           EnumerationBudgetError, InvariantError,
+                           best_of_growing, brute_force_opt)
 
 BRANCH_BUDGET = 10 ** 6  # most branch tuples exhaustive mode enumerates
 MODES = ("guided", "exhaustive")  # of MatroidHalf
@@ -424,7 +424,10 @@ class MatroidHalf:
     what its table neither holds nor settles (the replay still makes
     its M tests).  insert makes no query.
     Exhaustive mode keeps one pruned-greedy state per branch tuple and
-    reports the best by value.  `history` is the only list of the
+    reports the best by value, as the guess ladder does
+    (oracle.best_of_growing): it keeps each state's f(S) with |S| and
+    asks only the sets of states whose S grew since the last solution(),
+    each distinct set once.  `history` is the only list of the
     stream the runner keeps: each branch and L-pass reads it and counts
     how far.
     """
@@ -443,6 +446,7 @@ class MatroidHalf:
                        if mode == "exhaustive" else [])
         self._lpass: LPassResult | None = None  # last L-pass that returned
         self._replay: PruneGreedyState | None = None
+        self._asked: dict = {}  # exhaustive: state index -> (|S|, f(S))
 
     def insert(self, e) -> None:
         self.history.append(e)
@@ -459,7 +463,9 @@ class MatroidHalf:
                                             self.params, self._lpass.a_star,
                                             prev=replay)
             return self._replay.solution()
-        return best_of(self.oracle, (st.solution() for st in self.states))
+        return best_of_growing(self.oracle, enumerate(st._S.members
+                                                      for st in self.states),
+                               self._asked)
 
 
 @dataclass

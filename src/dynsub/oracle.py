@@ -103,17 +103,44 @@ class GrowingSet:
         self.members.add(e)
 
 
-def best_of(oracle: CountedOracle, sets, values=None) -> frozenset:
-    """The first of `sets` whose value beats every earlier one by more
-    than 1e-15; the empty set when none is positive.  Each value is a
-    counted query, unless `values` gives them in the order of `sets`."""
-    sets = list(sets)
+def best_of(sets, values) -> frozenset:
+    """The first of `sets` whose value, in `values` in the same order,
+    beats every earlier one by more than 1e-15; the empty set when none
+    is positive."""
     best, best_val = frozenset(), 0.0
-    for S, v in zip(sets, map(oracle.eval, sets) if values is None
-                    else values):
+    for S, v in zip(sets, values):
         if v > best_val + 1e-15:
             best, best_val = S, v
-    return best
+    return frozenset(best)
+
+
+def best_of_growing(oracle: CountedOracle, states, known: dict) -> frozenset:
+    """best_of over `states`, (key, S) pairs in pick order of sets that
+    only grow, asking each set the call does not know once.
+
+    `known` maps a key to (|S|, f(S)) as last asked, and the call keeps
+    it: a set whose size has not changed since keeps its value, and an
+    empty one is worth 0.0, which the rule never picks, and is not
+    asked.  Among the sets that grew, each distinct set is one counted
+    query, asked in pick order; the call keys them by frozenset(S) and
+    drops the keys when it returns.  That assumes f is a set function,
+    so that equal sets have one value, as every objective here is."""
+    fresh: dict = {}  # frozenset(S) -> f(S), asked in this call
+    sets, values = [], []
+    for key, S in states:
+        n = len(S)
+        if not n:
+            continue
+        size_val = known.get(key)
+        if size_val is None or size_val[0] != n:
+            T = frozenset(S)
+            v = fresh.get(T)
+            if v is None:
+                v = fresh[T] = oracle.eval(T)
+            size_val = known[key] = (n, v)
+        sets.append(S)
+        values.append(size_val[1])
+    return best_of(sets, values)
 
 
 def _n_choose_upto(n: int, k: int) -> int:

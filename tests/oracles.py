@@ -175,8 +175,31 @@ class FeedEveryEngine(GuessLadder):
             self.threads[i].insert(e)
 
     def solution(self) -> frozenset:
-        return best_of(self.oracle, (self.threads[i].solution()
-                                     for i in sorted(self.threads)))
+        sets = [self.threads[i].solution() for i in sorted(self.threads)]
+        return best_of(sets, [self.oracle.eval(S) for S in sets])
+
+
+def check_extraction(algo, inner: Recorded, probe: CountedOracle,
+                     sets: dict, last: dict) -> dict:
+    """Runs algo.solution() over an oracle of `inner` and checks that it
+    asks exactly the sets of `sets` (key -> S, in pick order) that are
+    not empty and not `last`'s S under their key, each distinct set
+    once, in pick order; that it picks what best_of picks over every
+    set, each asked afresh through `probe`; and that a second call asks
+    nothing and picks the same.  Returns `sets`, the `last` of the next
+    call."""
+    grown = []
+    for key, S in sets.items():
+        if S and S != last.get(key) and S not in grown:
+            grown.append(S)
+    start = len(inner.asked)
+    S = algo.solution()
+    assert inner.asked[start:] == grown
+    values = [probe.eval(T) for T in sets.values()]
+    assert S == best_of(list(sets.values()), values)
+    count = algo.oracle.count
+    assert algo.solution() == S and algo.oracle.count == count
+    return sets
 
 
 def every_pass_lpass(history: list, h: CountedOracle, M, params,

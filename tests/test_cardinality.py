@@ -13,10 +13,11 @@ from dynsub.harness import RunConfig, run_stream
 from dynsub.objectives import (CoverageFunction, CoverageGrowingSet,
                                random_coverage)
 from dynsub.oracle import (CountedOracle, DomainError, GrowingSet,
-                           InvariantError, best_of, brute_force_opt)
+                           InvariantError, brute_force_opt)
 from dynsub.streams import Stream
 from oracles import (AskTheSetEngine, FeedEveryEngine, ModularFunction,
-                     Recorded, counted, small_tree, spread_coverage)
+                     Recorded, check_extraction, counted, small_tree,
+                     spread_coverage)
 
 
 def test_modular_all_above_threshold():
@@ -241,7 +242,8 @@ def test_ladder_query_count_pinned():
     # engines that ask every marginal, and an extraction that asks every
     # engine's set, make 5,296; feeding every engine that is not full
     # makes 2,128 update queries, feeding only those not retired 1,523
-    # when each engine asks its own marginals
+    # when each engine asks its own marginals.  Extraction asks 22
+    # distinct sets of 25 engines
     f = random_coverage(500, 2000, 1, weighted=True)
     o = counted(f)
     lad = GuessLadder(o, 50, 0.2)
@@ -249,7 +251,7 @@ def test_ladder_query_count_pinned():
         lad.insert(e)
     assert o.count == 1255
     S = lad.solution()
-    assert o.count == 1255 + 25
+    assert o.count == 1255 + 22
     assert repr(f(S)) == "278.95988989897"
 
 
@@ -434,38 +436,18 @@ def test_f_of_e_within_ulps_of_a_bound_matches_asking(k, epsilon, opt_guess,
 @given(f=st.one_of(weighted_coverage(), spread_coverage()),
        k=st.integers(1, 5), epsilon=st.floats(0.1, 0.9), data=st.data())
 def test_extraction_asks_each_changed_engine_set_once(f, k, epsilon, data):
+    # engines that hold one set share one query, and an engine whose S
+    # has not grown since the last call asks nothing
     inner = Recorded(f)
     lad = GuessLadder(CountedOracle(inner, f.ground), k, epsilon)
-    probe = counted(f)
     last = {}  # target index -> S when solution() last ran
     for e in data.draw(st.permutations(sorted(f.ground))):
         lad.insert(e)
-        if not data.draw(st.booleans()):
-            continue
-        order = sorted(lad.threads)
-        grown = [lad.threads[i].solution() for i in order
-                 if lad.threads[i].solution() not in (frozenset(),
-                                                      last.get(i))]
-        start = len(inner.asked)
-        S = lad.solution()
-        assert inner.asked[start:] == grown  # an empty S is never asked
-        assert S == best_of(probe, [lad.threads[i].solution()
-                                    for i in order])
-        count = lad.oracle.count
-        assert lad.solution() == S and lad.oracle.count == count
-        last = {i: lad.threads[i].solution() for i in order}
-
-
-class AuditedLadder(GuessLadder):
-    """The guess ladder, counting the queries its extractions make."""
-
-    extract = 0
-
-    def solution(self) -> frozenset:
-        before = self.oracle.count
-        S = super().solution()
-        self.extract += self.oracle.count - before
-        return S
+        if data.draw(st.booleans()):
+            last = check_extraction(
+                lad, inner, counted(f),
+                {i: lad.threads[i].solution() for i in sorted(lad.threads)},
+                last)
 
 
 @pytest.mark.parametrize("seed, k, epsilon", [(0, 3, 0.25), (1, 5, 0.2),
@@ -477,7 +459,7 @@ def test_ladder_queries_stay_under_the_ladder_ceiling(seed, k, epsilon,
     made = []
     monkeypatch.setitem(
         harness._ALGORITHMS, "card-ladder",
-        lambda cfg, o, M: made.append(AuditedLadder(o, cfg.k, cfg.epsilon))
+        lambda cfg, o, M: made.append(GuessLadder(o, cfg.k, cfg.epsilon))
         or made[-1])
     f = random_coverage(60, 40, seed, weighted=True)
     cfg = RunConfig(algo="card-ladder", k=k, epsilon=epsilon,
@@ -487,8 +469,9 @@ def test_ladder_queries_stay_under_the_ladder_ceiling(seed, k, epsilon,
     n = len(records)
     engine_inserts = sum(t.inserts for t in lad.threads.values())
     assert 0 < engine_inserts <= (lad.window_length + 1) * n
-    update = records[-1].q_total - lad.extract
-    assert lad.extract > 0
+    extract = sum(r.q_extract for r in records)
+    update = records[-1].q_total - extract
+    assert extract > 0
     assert update <= n + (int(1.0 / epsilon) + 2) * engine_inserts
 
 

@@ -438,6 +438,27 @@ def test_readme_guided_matroid_half_example_final_line(capsys):
     assert last == "t=12 value=6 opt=7 ratio=0.8571 q_total=25"
 
 
+def test_readme_exhaustive_matroid_half_example_final_line(capsys):
+    # the README's matroid-half example at --epsilon 0.5 in exhaustive
+    # mode: of its 3,876 branch states, extraction asks only the sets
+    # that grew since the last checkpoint, each distinct set once
+    assert main(["run", "--algo", "matroid-half", "--oracle", "random:12:8:1",
+                 "--matroid", "uniform:3", "--k", "3", "--epsilon", "0.5",
+                 "--opt", "6.0", "--mode", "exhaustive"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "t=12 value=6 opt=7 ratio=0.8571 q_total=47167"
+
+
+def test_readme_card_ladder_example_final_line(capsys):
+    # the README's first example with --opt-mode brute-force, printing
+    # its records: engines that hold one set share its extraction query
+    assert main(["run", "--algo", "card-ladder", "--oracle", "random:20:12:0",
+                 "--k", "3", "--epsilon", "0.25",
+                 "--opt-mode", "brute-force"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "t=20 value=9 opt=11 ratio=0.8182 q_total=31"
+
+
 def test_run_rejects_stream_ids_outside_oracle(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("stream v1\nI 3\nI 99\nI 1\nI 42\n")

@@ -10,7 +10,7 @@ from dynsub import harness
 from dynsub.harness import (RoundRecord, RunConfig, UnsupportedOpError,
                             emit_report, offline_greedy, parse_config,
                             run_stream)
-from dynsub.matroids import PartitionMatroid
+from dynsub.matroids import PartitionMatroid, UniformMatroid
 from dynsub.objectives import CoverageFunction, random_coverage
 from dynsub.oracle import EnumerationBudgetError, brute_force_opt
 from dynsub.streams import DELETE, INSERT, Stream, StreamOp
@@ -158,7 +158,7 @@ def test_csv_shape_and_json_round_trip(tmp_path):
     emit_report(records, "csv", csv_path, meta=meta)
     lines = [l for l in csv_path.read_text().splitlines()
              if not l.startswith("#")]
-    assert lines[0] == "t,op,ground,value,opt,ratio,q_round,q_total"
+    assert lines[0] == "t,op,ground,value,opt,ratio,q_round,q_total,q_extract"
     assert len(lines) == 3
     assert any(l.startswith("# algo = card-ladder")
                for l in csv_path.read_text().splitlines())
@@ -171,7 +171,8 @@ def test_csv_shape_and_json_round_trip(tmp_path):
 def test_empty_records_header_only(tmp_path):
     p = tmp_path / "empty.csv"
     emit_report([], "csv", p)
-    assert p.read_text() == "t,op,ground,value,opt,ratio,q_round,q_total\n"
+    assert p.read_text() == (
+        "t,op,ground,value,opt,ratio,q_round,q_total,q_extract\n")
 
 
 def test_parse_config(tmp_path):
@@ -223,7 +224,33 @@ def test_checkpoint_every_n_rejects_bad_n(policy):
 
 def test_round_record_columns_frozen():
     assert RoundRecord.COLUMNS == ("t", "op", "ground", "value", "opt",
-                                   "ratio", "q_round", "q_total")
+                                   "ratio", "q_round", "q_total", "q_extract")
+
+
+@pytest.mark.parametrize("algo, mode", [("card", "guided"),
+                                         ("card-ladder", "guided"),
+                                         ("matroid-half", "guided"),
+                                         ("matroid-half", "exhaustive")])
+def test_q_extract_is_the_queries_of_solution(algo, mode):
+    # a fixed-target engine's solution asks nothing, and guided
+    # matroid-half's insert asks nothing, so there every query is an
+    # extraction's
+    f = random_coverage(8, 8, seed=8)
+    M = UniformMatroid(2, f.ground)
+    _, opt = brute_force_opt(counted(f), matroid=M)
+    cfg = RunConfig(algo=algo, k=2, epsilon=0.5, mode=mode,
+                    opt_value=None if algo == "card-ladder" else opt)
+    records, _ = run_stream(cfg, f, Stream.inserts(sorted(f.ground)),
+                            matroid=M if algo == "matroid-half" else None)
+    assert all(0 <= r.q_extract <= r.q_round for r in records)
+    extract = [r.q_extract for r in records]
+    if algo == "card":
+        assert not any(extract)
+    elif mode == "guided" and algo == "matroid-half":
+        assert extract == [r.q_round for r in records]
+    else:  # each insert asks, and so do some extractions
+        assert any(extract)
+        assert all(r.q_round > r.q_extract for r in records)
 
 
 def test_matroid_half_exhaustive_dominates_guided():

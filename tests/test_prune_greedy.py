@@ -18,8 +18,8 @@ from dynsub.objectives import (CoverageFunction, multilinear_exact,
                                random_coverage)
 from dynsub.oracle import (CountedOracle, EnumerationBudgetError,
                            brute_force_opt)
-from oracles import (ModularFunction, Recorded, counted, every_pass_lpass,
-                     small_tree)
+from oracles import (ModularFunction, Recorded, check_extraction, counted,
+                     every_pass_lpass, small_tree)
 
 
 def random_partition_instance(seed, n_max=20, rank_max=4):
@@ -248,6 +248,38 @@ def test_exhaustive_branches_hold_their_S_in_growing_sets():
         assert st.solution() == frozenset(st._S.members)
         assert not any(isinstance(v, set) and v is not st._S.members
                        for v in vars(st).values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), items=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6), k_eps=st.sampled_from([(1, 0.5),
+                                                             (2, 0.5)]),
+       opt_scale=st.floats(0.5, 1.5), partition=st.booleans(),
+       data=st.data())
+def test_exhaustive_extraction_asks_each_changed_set_once(
+        n, items, seed, k_eps, opt_scale, partition, data):
+    # 28 or 455 branch states, most of them holding a set another holds
+    k, eps = k_eps
+    f = random_coverage(n, items, seed, weighted=True)
+    ground = sorted(f.ground)
+    if partition:
+        blocks = {e: data.draw(st.integers(0, 2)) for e in ground}
+        M = PartitionMatroid(blocks, {b: data.draw(st.integers(1, 2))
+                                      for b in sorted(set(blocks.values()))})
+    else:
+        M = UniformMatroid(k, ground)
+    _, opt = brute_force_opt(counted(f), matroid=M)
+    assume(opt > 0)
+    inner = Recorded(f)
+    half = MatroidHalf(CountedOracle(inner, f.ground), M,
+                       BranchParams.standard(k, eps, opt * opt_scale),
+                       mode="exhaustive")
+    last = {}  # branch index -> S when solution() last ran
+    for e in data.draw(st.permutations(ground)):
+        half.insert(e)
+        last = check_extraction(
+            half, inner, counted(f),
+            {j: b.solution() for j, b in enumerate(half.states)}, last)
 
 
 def test_single_element_stream_uniform_one():
